@@ -48,9 +48,6 @@
 #include <iostream>
 #include <string>
 
-#include <stdlib.h>
-#include <unistd.h>
-
 #include "bench_report.hh"
 #include "core/experiment.hh"
 #include "runner/shard_replay.hh"
@@ -58,6 +55,7 @@
 #include "tracefmt/pct.hh"
 #include "util/mem.hh"
 #include "util/table.hh"
+#include "util/temp_file.hh"
 
 using namespace pacache;
 
@@ -88,29 +86,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
                std::chrono::steady_clock::now() - t0)
         .count();
 }
-
-/** Unlinked-on-exit temporary .pct path. */
-struct TempPct
-{
-    std::string path;
-
-    TempPct()
-    {
-        const char *dir = std::getenv("TMPDIR");
-        std::string templ = std::string(dir && *dir ? dir : "/tmp") +
-                            "/pacache-scale-XXXXXX.pct";
-        const int fd = mkstemps(templ.data(), 4);
-        if (fd < 0) {
-            std::cerr << "FATAL: cannot create temp file " << templ
-                      << '\n';
-            std::exit(1);
-        }
-        close(fd);
-        path = templ;
-    }
-
-    ~TempPct() { unlink(path.c_str()); }
-};
 
 /** The replay outputs that must not vary across reps or job counts. */
 struct Fingerprint
@@ -205,7 +180,7 @@ main()
               << " reps\n\n";
 
     benchsupport::BenchReport report("scale", jobs);
-    TempPct pct;
+    const TempFile pct("pacache-scale", ".pct");
 
     // --- generate: stream straight to .pct, no Trace in memory ----
     double genSec;
@@ -213,7 +188,8 @@ main()
         StreamingSyntheticSource gen(scaledOltpStreams(disks), 0.0, 42,
                                      requests);
         const auto t0 = std::chrono::steady_clock::now();
-        const tracefmt::PctInfo info = tracefmt::writePct(pct.path, gen);
+        const tracefmt::PctInfo info =
+            tracefmt::writePct(pct.path(), gen);
         genSec = secondsSince(t0);
         if (info.records != requests) {
             std::cerr << "FATAL: generator produced "
@@ -235,7 +211,7 @@ main()
         static_cast<std::size_t>(budgetMb) << 20;
     Fingerprint fpBudget;
     const double budgetSec = timeWindowed(
-        pct.path, bcfg, requests, reps, "budgeted windowed opg",
+        pct.path(), bcfg, requests, reps, "budgeted windowed opg",
         fpBudget);
     const double budgetRps =
         static_cast<double>(requests) / budgetSec;
@@ -254,7 +230,7 @@ main()
     Fingerprint shardFp;
     {
         const ExperimentResult r =
-            runner::runShardedExperiment(pct.path, bcfg, sopts);
+            runner::runShardedExperiment(pct.path(), bcfg, sopts);
         shardFp = Fingerprint(r);
     }
     sopts.jobs = jobs;
@@ -262,7 +238,7 @@ main()
     for (unsigned rep = 0; rep < reps; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
         const ExperimentResult r =
-            runner::runShardedExperiment(pct.path, bcfg, sopts);
+            runner::runShardedExperiment(pct.path(), bcfg, sopts);
         const double sec = secondsSince(t0);
         if (!(Fingerprint(r) == shardFp)) {
             std::cerr << "FATAL: budgeted sharded replay at jobs="
@@ -294,7 +270,7 @@ main()
     // --- unbounded windowed replay: prices the budget --------------
     Fingerprint fpFree;
     const double freeSec = timeWindowed(
-        pct.path, cfg, requests, reps, "unbounded windowed opg",
+        pct.path(), cfg, requests, reps, "unbounded windowed opg",
         fpFree);
     if (!(fpFree == fpBudget)) {
         std::cerr << "FATAL: budgeted windowed replay differs from "
@@ -315,7 +291,7 @@ main()
     for (unsigned rep = 0; rep < reps; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
         const ExperimentResult r =
-            runner::runShardedExperiment(pct.path, cfg, sopts);
+            runner::runShardedExperiment(pct.path(), cfg, sopts);
         const double sec = secondsSince(t0);
         if (!(Fingerprint(r) == shardFp)) {
             std::cerr << "FATAL: unbounded sharded replay differs "

@@ -136,11 +136,31 @@ struct ExperimentResult
     std::size_t numModes = 0; //!< for interpreting the breakdowns
 };
 
+/**
+ * Cache capacity of partition @p part of @p parts (serve stripes,
+ * replay shards): an even share, the remainder one block each to the
+ * first partitions. Panics if a partition would get no block.
+ */
+std::size_t partitionCapacity(std::size_t cache_blocks, std::size_t parts,
+                              std::size_t part);
+
+/**
+ * Merge per-partition results, partition p owning disks d with
+ * d mod results.size() == p: per-disk statistics from each disk's
+ * owner (the other replicas' idle-only energy is not charged), cache,
+ * response and log statistics summed in partition order.
+ */
+ExperimentResult mergePartitioned(const std::vector<ExperimentResult> &results,
+                                  std::size_t num_disks);
+
 /** Display name for a policy kind. */
 const char *policyKindName(PolicyKind kind);
 
 /** True for PA-family policies, which need a PaClassifier. */
 bool policyNeedsClassifier(PolicyKind kind);
+
+/** True for the off-line oracles (Belady, OPG). */
+bool policyIsOffline(PolicyKind kind);
 
 /**
  * True for policies that need the whole future access stream before
@@ -162,9 +182,8 @@ PaParams resolvePaParams(const ExperimentConfig &config,
 /**
  * Build the replacement policy an ExperimentConfig asks for.
  * @p classifier may be null unless the policy is PA-family;
- * @p capacity sizes ARC/LIRS ghost lists. Exposed so alternative
- * front-ends (the sharded server) assemble per-stripe policies with
- * exactly the runner's construction rules.
+ * @p capacity sizes ARC/LIRS ghost lists. SimStack builds every
+ * stack's policy through it unless handed a prepared one.
  */
 std::unique_ptr<ReplacementPolicy>
 makeReplacementPolicy(const ExperimentConfig &config, const PowerModel &pm,

@@ -113,6 +113,13 @@ StorageSystem::finish(Time trace_end)
 }
 
 void
+StorageSystem::finishAfterCrash(Time trace_end)
+{
+    ran = true;
+    finishRun(trace_end);
+}
+
+void
 StorageSystem::runMaterialized()
 {
     std::vector<BlockAccess> accesses;

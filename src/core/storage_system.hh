@@ -167,6 +167,13 @@ class StorageSystem
      */
     void finish(Time trace_end);
 
+    /**
+     * Close a run that a CrashException unwound: the clean end of
+     * run's drain and horizon (its Shutdown crash point is a no-op
+     * once the injector has fired).
+     */
+    void finishAfterCrash(Time trace_end);
+
     /** System-level response times (hits, buffered writes, misses). */
     const ResponseStats &responses() const { return respStats; }
 

@@ -1,18 +1,15 @@
 #include "qa/crash.hh"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <utility>
 
-#include "core/experiment.hh"
-#include "core/storage_system.hh"
+#include "core/sim_stack.hh"
 #include "core/wtdu_log.hh"
-#include "disk/disk_array.hh"
-#include "disk/dpm.hh"
 #include "obs/energy_ledger.hh"
 #include "qa/gen.hh"
 #include "serve/server.hh"
-#include "sim/event_queue.hh"
 #include "util/random.hh"
 
 namespace pacache::qa
@@ -123,9 +120,12 @@ failMsg(Args &&...args)
     return PropertyResult::fail(os.str());
 }
 
-/** The ExperimentConfig a case's knobs describe (crash flavor). */
+/**
+ * The ExperimentConfig a case's knobs describe (crash flavor), with
+ * @p inj wired into the write path.
+ */
 ExperimentConfig
-crashExperimentConfig(const FuzzCase &c)
+crashExperimentConfig(const FuzzCase &c, FaultInjector *inj)
 {
     ExperimentConfig cfg;
     cfg.policy = c.cfg.policy;
@@ -134,10 +134,18 @@ crashExperimentConfig(const FuzzCase &c)
     cfg.storage.writePolicy = c.cfg.writePolicy;
     cfg.storage.wtduRegionBlocks =
         c.cfg.wtduRegionBlocks > 0 ? c.cfg.wtduRegionBlocks : 1;
+    cfg.storage.fault = inj;
     cfg.spec = c.cfg.spec;
     cfg.pa.epochLength = c.cfg.paEpoch;
     cfg.opgTheta = c.cfg.theta;
     return cfg;
+}
+
+/** The case's disk count (at least one). */
+std::size_t
+caseDisks(const FuzzCase &c)
+{
+    return std::max<std::size_t>(c.trace.numDisks(), 1);
 }
 
 /** The durability properties exercise the WTDU write path only. */
@@ -149,103 +157,29 @@ wtduCase(const FuzzCase &c)
     return cc;
 }
 
-/**
- * A whole injector-wired simulation stack, owned piecewise so the
- * run can be unwound by CrashException and the post-crash state (the
- * WtduLog, the disks' energy accounting) stays inspectable.
- * Mirrors runExperimentImpl()'s construction order.
- */
-class CrashRig
+/** The case's simulation stack with @p inj wired in. */
+std::unique_ptr<SimStack>
+crashStack(const FuzzCase &c, FaultInjector *inj)
 {
-  public:
-    CrashRig(const FuzzCase &c, FaultInjector *inj)
-        : cfg(crashExperimentConfig(c)), pm(cfg.spec),
-          sm(cfg.spec, cfg.service), practical(pm), adaptive(pm),
-          numDisks(std::max<std::size_t>(c.trace.numDisks(), 1)),
-          trace(&c.trace)
-    {
-        if (policyNeedsClassifier(cfg.policy)) {
-            classifier = std::make_unique<PaClassifier>(
-                numDisks, resolvePaParams(cfg, pm));
-        }
-        policy = makeReplacementPolicy(cfg, pm, classifier.get(),
-                                       cfg.cacheBlocks);
-        cache = std::make_unique<Cache>(cfg.cacheBlocks, *policy);
+    const ExperimentConfig cfg = crashExperimentConfig(c, inj);
+    return std::make_unique<SimStack>(cfg, caseDisks(c), cfg.cacheBlocks);
+}
 
-        Dpm *dpm = &static_cast<Dpm &>(alwaysOn);
-        if (cfg.dpm == DpmChoice::Practical)
-            dpm = &practical;
-        else if (cfg.dpm == DpmChoice::Adaptive)
-            dpm = &adaptive;
-        disks = std::make_unique<DiskArray>(numDisks, eq, pm, sm, *dpm,
-                                            cfg.disk);
-
-        StorageConfig scfg = cfg.storage;
-        scfg.fault = inj;
-        if (scfg.writePolicy ==
-            WritePolicy::WriteThroughDeferredUpdate) {
-            logDisk = std::make_unique<Disk>(
-                static_cast<DiskId>(numDisks), eq, pm, sm, alwaysOn,
-                DiskOptions{});
-        }
-        system = std::make_unique<StorageSystem>(
-            *trace, eq, *cache, *disks, scfg, classifier.get(),
-            logDisk.get());
+/**
+ * Run the case's workload; a fired plan's CrashException unwinds the
+ * run and leaves the post-crash state (the WtduLog, the disks' energy
+ * accounting) inspectable. @return true if the plan fired.
+ */
+bool
+runUntilCrash(SimStack &stack, const Trace &trace)
+{
+    try {
+        stack.run(trace);
+        return false;
+    } catch (const CrashException &) {
+        return true;
     }
-
-    /** Run the workload. @return true if the plan fired. */
-    bool
-    run()
-    {
-        try {
-            system->run();
-            return false;
-        } catch (const CrashException &) {
-            return true;
-        }
-    }
-
-    /**
-     * Post-crash completion of the simulation's accounting: drain
-     * the event queue and finalize every disk at the same
-     * policy-independent horizon StorageSystem::finishRun() uses.
-     * Only needed after a crash (a clean run() finalizes itself).
-     */
-    void
-    drainAndFinalize()
-    {
-        eq.runAll();
-        const Time tail =
-            (pm.thresholds().empty() ? 0.0 : pm.thresholds().back()) +
-            pm.mode(pm.deepestMode()).transitionTime() + 10.0;
-        const Time horizon =
-            std::max(trace->endTime() + tail, eq.now());
-        disks->finalize(horizon);
-        if (logDisk)
-            logDisk->finalize(horizon);
-    }
-
-    WtduLog *log() { return system->wtduLog(); }
-    DiskArray &diskArray() { return *disks; }
-    std::size_t diskCount() const { return numDisks; }
-
-  private:
-    ExperimentConfig cfg;
-    PowerModel pm;
-    ServiceModel sm;
-    EventQueue eq;
-    AlwaysOnDpm alwaysOn;
-    PracticalDpm practical;
-    AdaptiveDpm adaptive;
-    std::size_t numDisks;
-    const Trace *trace;
-    std::unique_ptr<PaClassifier> classifier;
-    std::unique_ptr<ReplacementPolicy> policy;
-    std::unique_ptr<Cache> cache;
-    std::unique_ptr<DiskArray> disks;
-    std::unique_ptr<Disk> logDisk;
-    std::unique_ptr<StorageSystem> system;
-};
+}
 
 std::string
 describeBlock(uint64_t key)
@@ -327,10 +261,11 @@ propWtduCrashDurability(const FuzzCase &c)
         return PropertyResult::ok();
     const FuzzCase cc = wtduCase(c);
     CrashInjector inj(cc.cfg.crash);
-    CrashRig rig(cc, &inj);
-    rig.run(); // a plan that never fires checks the clean shutdown
+    const auto stack = crashStack(cc, &inj);
+    // A plan that never fires checks the clean shutdown.
+    runUntilCrash(*stack, cc.trace);
 
-    const std::string err = checkDurability(inj, *rig.log());
+    const std::string err = checkDurability(inj, *stack->wtduLog());
     if (!err.empty())
         return failMsg(crashSiteName(cc.cfg.crash.site),
                        "@", cc.cfg.crash.occurrence,
@@ -338,8 +273,8 @@ propWtduCrashDurability(const FuzzCase &c)
                        err);
 
     // Recovery retired every region: a second pass must be a no-op.
-    WtduLog &log = *rig.log();
-    for (DiskId d = 0; d < rig.diskCount(); ++d) {
+    WtduLog &log = *stack->wtduLog();
+    for (DiskId d = 0; d < caseDisks(cc); ++d) {
         if (!log.recover(d).empty())
             return failMsg("disk ", d, " still has live log entries "
                            "after recovery retired its region");
@@ -358,23 +293,20 @@ propWtduCrashLedger(const FuzzCase &c)
     if (cc.cfg.dpm == DpmChoice::Oracle)
         cc.cfg.dpm = DpmChoice::Practical;
     CrashInjector inj(cc.cfg.crash);
-    CrashRig rig(cc, &inj);
-    const bool crashed = rig.run();
+    const auto stack = crashStack(cc, &inj);
+    const bool crashed = runUntilCrash(*stack, cc.trace);
     if (crashed)
-        rig.drainAndFinalize();
+        stack->finishAfterCrash(cc.trace.endTime());
 
-    std::vector<EnergyStats> perDisk;
-    perDisk.reserve(rig.diskCount());
-    for (DiskId d = 0; d < rig.diskCount(); ++d) {
-        const EnergyStats &es = rig.diskArray().disk(d).energy();
-        const double err = obs::ledgerRelError(es);
+    const std::vector<EnergyStats> perDisk = stack->result().perDisk;
+    for (DiskId d = 0; d < perDisk.size(); ++d) {
+        const double err = obs::ledgerRelError(perDisk[d]);
         if (err > obs::kLedgerConservationTol)
             return failMsg("disk ", d, ": ledger rel error ", err,
                            " after ",
                            crashed ? "crash recovery" : "clean run",
                            " (site ", crashSiteName(cc.cfg.crash.site),
                            "@", cc.cfg.crash.occurrence, ")");
-        perDisk.push_back(es);
     }
     const double aggErr = obs::ledgerMaxRelError(perDisk);
     if (aggErr > obs::kLedgerConservationTol)
@@ -390,17 +322,17 @@ propWtduRecoveryIdempotentUnderCrash(const FuzzCase &c)
         return PropertyResult::ok();
     const FuzzCase cc = wtduCase(c);
     CrashInjector inj(cc.cfg.crash);
-    CrashRig rig(cc, &inj);
-    rig.run();
+    const auto stack = crashStack(cc, &inj);
+    runUntilCrash(*stack, cc.trace);
 
     // Two copies of the surviving log image: one recovered in a
     // single pass, one crashed mid-recovery and recovered again.
-    WtduLog once = *rig.log();
+    WtduLog once = *stack->wtduLog();
     once.setFaultInjector(nullptr);
     WtduLog twice = once;
 
     std::size_t liveEntries = 0;
-    for (DiskId d = 0; d < rig.diskCount(); ++d)
+    for (DiskId d = 0; d < caseDisks(cc); ++d)
         liveEntries += once.recover(d).size();
 
     std::map<uint64_t, uint64_t> ref;
@@ -414,7 +346,7 @@ propWtduRecoveryIdempotentUnderCrash(const FuzzCase &c)
     rp.armed = true;
     rp.site = CrashSite::Recovery;
     rp.occurrence = deriveSeed(c.seed, 0xc4a5) %
-                    (liveEntries + rig.diskCount());
+                    (liveEntries + caseDisks(cc));
     CrashInjector rinj(rp);
 
     std::map<uint64_t, uint64_t> interrupted;
@@ -438,7 +370,7 @@ propWtduRecoveryIdempotentUnderCrash(const FuzzCase &c)
                        interrupted.size(),
                        " final block versions, single-pass applied ",
                        ref.size(), " (or versions differ)");
-    for (DiskId d = 0; d < rig.diskCount(); ++d) {
+    for (DiskId d = 0; d < caseDisks(cc); ++d) {
         if (!twice.recover(d).empty() || !once.recover(d).empty())
             return failMsg("disk ", d,
                            " still has live entries after recovery");
@@ -462,34 +394,22 @@ propServeCrashShutdownRecovery(const FuzzCase &c)
     cc.cfg.crash.occurrence = 0;
 
     CrashInjector replayInj(cc.cfg.crash);
-    CrashRig rig(cc, &replayInj);
-    if (!rig.run())
+    const auto stack = crashStack(cc, &replayInj);
+    if (!runUntilCrash(*stack, cc.trace))
         return failMsg("shutdown crash never fired in replay mode");
 
     serve::ServeConfig sc;
-    sc.exp = crashExperimentConfig(cc);
+    CrashInjector serveInj(cc.cfg.crash);
+    sc.exp = crashExperimentConfig(cc, &serveInj);
     sc.shards = 1;
     sc.threads = 1;
     sc.ringCapacity = 256;
     sc.batch = 16;
-    sc.numDisks = std::max<std::size_t>(c.trace.numDisks(), 1);
-    CrashInjector serveInj(cc.cfg.crash);
-    sc.exp.storage.fault = &serveInj;
+    sc.numDisks = caseDisks(cc);
 
     serve::ServeServer server(sc);
     server.start();
-    const std::vector<BlockAccess> accesses = expandTrace(c.trace);
-    serve::ServeRequest req;
-    for (std::size_t i = 0; i < accesses.size(); ++i) {
-        const BlockAccess &acc = accesses[i];
-        req.time = acc.time;
-        req.block = acc.block;
-        req.write = acc.write;
-        req.traceIndex = acc.traceIndex;
-        req.idx = i;
-        req.submitNs = 0;
-        server.submit(req);
-    }
+    server.submitTrace(c.trace);
     bool serveCrashed = false;
     try {
         server.finish(c.trace.endTime());
@@ -502,7 +422,7 @@ propServeCrashShutdownRecovery(const FuzzCase &c)
     // The stripe's surviving log image must be bit-identical to the
     // replay-mode one: same stamps, same free pointers, same
     // physical slots (checksums included).
-    WtduLog &replayLog = *rig.log();
+    WtduLog &replayLog = *stack->wtduLog();
     const WtduLog *serveLog = server.shardWtduLog(0);
     if (!serveLog)
         return failMsg("serve stripe has no WTDU log");

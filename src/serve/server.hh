@@ -1,18 +1,18 @@
 /**
  * @file
  * Sharded concurrent serving front-end over the cache + write-policy
- * + DPM kernel (ROADMAP open item 1).
+ * + DPM kernel.
  *
  * The server partitions the disk array into `shards` stripes
  * (stripeOf(disk) = disk mod shards); each stripe owns a complete,
- * independently-locked simulation stack — event queue, cache slice
- * with its own replacement policy, PA classifier, DPM instance, disk
- * array, optional WTDU log device — wrapped in one incremental
- * StorageSystem. Because every disk's power-state machine, energy
- * accounting, and event queue live in exactly one stripe, disk
- * transitions are naturally serialized through that stripe's lock
- * (the per-disk DPM actor of DESIGN.md 5g) and the PR 6 energy
- * ledger stays conservation-exact under any thread count.
+ * independently-locked SimStack — event queue, cache slice with its
+ * own replacement policy, PA classifier, DPM instance, disk array,
+ * optional WTDU log device — driven incrementally. Because every
+ * disk's power-state machine, energy accounting, and event queue
+ * live in exactly one stripe, disk transitions are naturally
+ * serialized through that stripe's lock (the per-disk DPM actor of
+ * DESIGN.md 5g) and the energy ledger (DESIGN.md 5f) stays
+ * conservation-exact under any thread count.
  *
  * Thread model: producers push ServeRequests into per-stripe MPMC
  * rings; `threads` workers sweep the stripes with try_lock and drain
@@ -119,6 +119,12 @@ class ServeServer
     void submit(const ServeRequest &req);
 
     /**
+     * submit() every block access of @p trace in trace order (the
+     * single replay producer).
+     */
+    void submitTrace(const Trace &trace);
+
+    /**
      * Stop the workers once every ring has drained, close each
      * stripe's simulation at the shared horizon derived from
      * @p end_time (the last request's simulated arrival), and merge
@@ -155,8 +161,6 @@ class ServeServer
 
     ServeConfig cfg;
     std::size_t numShards;
-    PowerModel pm;
-    ServiceModel sm;
     std::vector<std::unique_ptr<Shard>> stripes;
     std::vector<std::thread> workers;
     std::atomic<bool> done{false};

@@ -149,6 +149,23 @@ else
     rm -rf "$bench_dir"
 fi
 
+step "repository benchmark self-tests"
+# perfbench/ assembles its own traced simulation stacks from public
+# library pieces; its self-tests are the check that those stacks
+# still reproduce runExperiment, runShardedExperiment and ServeServer
+# bit for bit (plus the record format and the sim_* repeatability).
+# One tiny run first brings .bench_build/perfbench up to date (a cold
+# build takes about a minute on 4 cores): the self-tests start two
+# overlapping runs, whose builds race when the tree is cold or stale.
+if [ "${SKIP_BENCH_GATE:-0}" = "1" ]; then
+    echo "skipped (SKIP_BENCH_GATE=1)"
+else
+    (cd "$root" &&
+        python3 perfbench/run.py --workload fig6-opg --seed 1 \
+            --seconds 0.3 --tiny > /dev/null &&
+        python3 perfbench/tests/test_perfbench.py)
+fi
+
 step "sharded streaming determinism smoke (Release)"
 # Reduced-scale version of the billion-request workflow: stream a
 # 1e7-record x 64-disk scaled OLTP trace to .pct (never

@@ -15,7 +15,7 @@
  * Like OPG the policy is templated over its future provider F:
  * FutureKnowledge (materialized; BeladyPolicy) or WindowedFuture
  * (exact out-of-core streaming; WindowedBeladyPolicy, fed through
- * prepareWindowed with pinTimes off — MIN never prices times).
+ * prepareWindowed — MIN reads only next-use indices, never times).
  */
 
 #ifndef PACACHE_CACHE_BELADY_HH

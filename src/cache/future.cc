@@ -31,7 +31,6 @@ FutureKnowledge::build(const std::vector<BlockAccess> &accesses)
     FutureKnowledge fk;
     fk.next.assign(accesses.size(), kNever);
     fk.first.assign(accesses.size(), false);
-    fk.times.resize(accesses.size());
 
     // Scan backwards: lastSeen maps block -> the most recent (i.e.
     // next, in forward order) access index. Keys are the packed
@@ -41,14 +40,12 @@ FutureKnowledge::build(const std::vector<BlockAccess> &accesses)
     // unique) rather than the whole of it: a trace-sized table would
     // spread the random probes over twice the memory for no fewer
     // collisions, while under-sizing forces a mid-scan rehash. The
-    // 32-bit mapped index keeps slots at 16 bytes. The times copy
-    // rides the same pass — the records are already in cache.
+    // 32-bit mapped index keeps slots at 16 bytes.
     PACACHE_ASSERT(accesses.size() < UINT32_MAX,
                    "trace too large for 32-bit future indices");
     FlatMap<std::uint64_t, std::uint32_t> last_seen;
     last_seen.reserve(accesses.size() / 2 + 16);
     for (std::size_t i = accesses.size(); i-- > 0;) {
-        fk.times[i] = accesses[i].time;
         auto [slot, inserted] = last_seen.emplace(
             accesses[i].block.packed(), static_cast<std::uint32_t>(i));
         if (!inserted) {
@@ -69,9 +66,6 @@ FutureKnowledge::buildRef(const std::vector<BlockAccess> &accesses)
     FutureKnowledge fk;
     fk.next.assign(accesses.size(), kNever);
     fk.first.assign(accesses.size(), false);
-    fk.times.resize(accesses.size());
-    for (std::size_t i = 0; i < accesses.size(); ++i)
-        fk.times[i] = accesses[i].time;
 
     std::unordered_map<BlockId, std::size_t> last_seen;
     last_seen.reserve(accesses.size() / 4 + 16);

@@ -42,12 +42,10 @@ std::vector<BlockAccess> expandTrace(const Trace &trace);
 /**
  * Next-use and cold-miss precomputation for off-line policies.
  *
- * Stored as structure-of-arrays: the next-use chain, the cold-miss
- * bits, and a copy of the access times each live in their own dense
- * array. Oracle replay touches times and next-use indices millions of
- * times through gap pricing; reading them from 8-byte-stride arrays
- * instead of the 40-byte BlockAccess records keeps the hot loop's
- * memory traffic to the fields it actually uses.
+ * Stored as structure-of-arrays: the next-use chain and the
+ * cold-miss bits each live in their own dense array. Arrival times
+ * are not copied: OPG reads a next use's time once, from its
+ * BlockAccess record, and carries it inside its own oracle state.
  */
 class FutureKnowledge
 {
@@ -76,14 +74,10 @@ class FutureKnowledge
     /** True if access idx is the first ever to its block. */
     bool isFirstReference(std::size_t idx) const { return first[idx]; }
 
-    /** Time of access idx (the SoA copy of BlockAccess::time). */
-    Time timeOf(std::size_t idx) const { return times[idx]; }
-
     std::size_t size() const { return next.size(); }
 
   private:
     std::vector<std::size_t> next;
-    std::vector<Time> times;
     std::vector<bool> first;
 };
 

@@ -3,7 +3,7 @@
  * Out-of-core future knowledge for off-line policies.
  *
  * FutureKnowledge (cache/future.hh) materializes the whole expanded
- * access stream plus three trace-length arrays — fine for RAM-sized
+ * access stream plus its trace-length next-use arrays — fine for RAM-sized
  * traces, impossible for billion-request ones. WindowedFuture
  * computes the same next-use chain *exactly* without ever holding
  * the trace in memory:
@@ -22,22 +22,12 @@
  *     is bounded by max(chunk, window, one entry per unique block) —
  *     never by the trace length.
  *
- * Times of future indices (OPG's gap pricing needs timeOf(j) for
- * deterministic-miss neighbors and resident next-uses) are served
- * from a pinned-times map: every index is pinned exactly once before
- * replay reaches it — cold (first-reference) indices at build, every
- * other index when its predecessor's sidecar entry is consumed — and
- * unpinned when consumed itself. The pinned set therefore holds at
- * most one in-flight entry per distinct block, the same order of
- * memory OPG's deterministic-miss set already needs. Belady only
- * needs next indices and opts out of pinning entirely.
- *
- * Options::pinnedBudgetBytes bounds even that: the backward pass
- * additionally writes an arrival-times sidecar (8 bytes per access),
- * only indices within a budget-derived horizon of the cursor are
- * pinned, and timeOf() for anything farther is an exact pread
- * through a small direct-mapped page cache. Same doubles either
- * way, so replay stays bit-identical under any budget.
+ * Every sidecar entry carries its successor's arrival time next to
+ * its index, and every cold seed carries its own, so a consumer that
+ * prices idle periods (OPG) receives each future index's time at the
+ * moment it learns the index and keeps the two together in its own
+ * state. The future itself answers no time queries and holds no
+ * per-block state after the build.
  */
 
 #ifndef PACACHE_CACHE_FUTURE_WINDOW_HH
@@ -46,10 +36,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
-#include "util/flat_map.hh"
 
 namespace pacache
 {
@@ -70,9 +60,8 @@ class WindowedFuture
         /** Backward-pass chunk size in block accesses. */
         std::size_t chunkAccesses = std::size_t(1) << 22;
         /**
-         * Keep a pinned time for every not-yet-reached index that a
-         * consumer may query via timeOf() (OPG). Belady never calls
-         * timeOf() and skips the bookkeeping.
+         * No effect: successor times always travel with nextUse().
+         * Kept so existing option-setting callers still compile.
          */
         bool pinTimes = true;
         /**
@@ -82,15 +71,7 @@ class WindowedFuture
          * every record anyway.
          */
         bool verifyChecksum = false;
-        /**
-         * Bound the pinned-times map. 0 = pin every in-flight index
-         * (exact but O(unique blocks) memory, the historical
-         * behavior). > 0 = pin only indices within a budget-derived
-         * horizon of the replay cursor and serve far timeOf()
-         * queries from an arrival-times sidecar written during the
-         * backward pass — the same doubles the records carry, so
-         * replay stays bit-identical while the map stays O(horizon).
-         */
+        /** No effect, like pinTimes; the future has no pinned map. */
         std::size_t pinnedBudgetBytes = 0;
     };
 
@@ -99,6 +80,7 @@ class WindowedFuture
     {
         DiskId disk;
         std::size_t idx;
+        Time time; //!< arrival time of access idx
     };
 
     WindowedFuture() = default;
@@ -123,25 +105,26 @@ class WindowedFuture
     /**
      * Index of the next access to the same block (kNever if none).
      * Consuming: must be called exactly once per index, in strictly
-     * increasing order — it advances the sidecar window and moves
-     * the time pin from this index to its successor.
+     * increasing order — it advances the sidecar window.
      */
-    std::size_t nextUse(std::size_t idx);
+    std::size_t
+    nextUse(std::size_t idx)
+    {
+        Time ignored = 0;
+        return nextUse(idx, ignored);
+    }
 
     /**
-     * Time of a future index. Unbounded mode: exactly the indices
-     * OPG tracks — deterministic misses and resident next-uses —
-     * are pinned; anything else is a bug. Budgeted mode: a pinned
-     * hit when the index is near the cursor, otherwise an exact
-     * pread from the arrival-times sidecar.
+     * nextUse() that also reports the next access's arrival time in
+     * @p time (left 0 when the block is never accessed again).
      */
-    Time timeOf(std::size_t idx) const;
-
-    /** Far timeOf() queries served by sidecar reads (telemetry). */
-    std::uint64_t timeSidecarReads() const { return timeReads; }
+    std::size_t nextUse(std::size_t idx, Time &time);
 
     /** First-reference accesses, ascending by index. */
     const std::vector<ColdSeed> &coldSeeds() const { return cold; }
+
+    /** Move the cold seeds out, leaving none behind. */
+    std::vector<ColdSeed> takeColdSeeds() { return std::move(cold); }
 
   private:
     /** Sidecar record: next access index (~0 = never) and its time. */
@@ -155,41 +138,20 @@ class WindowedFuture
     void build(const std::string &pct_path);
     void refill(std::size_t from);
     void closeFd();
-    bool budgeted() const
-    {
-        return opts.pinTimes && opts.pinnedBudgetBytes > 0;
-    }
-    Time readTime(std::size_t idx) const;
-
-    /** Times-sidecar page cache: 8 direct-mapped 4 KiB pages. */
-    static constexpr std::size_t kTimePageDoubles = 512;
-    static constexpr std::size_t kTimePages = 8;
-    struct TimePage
-    {
-        std::size_t base = kNever;
-        std::vector<double> buf;
-    };
 
     Options opts;
     int sidecarFd = -1;
-    int timesFd = -1; //!< arrival-times sidecar (budgeted mode)
     std::size_t total = 0;
     std::size_t diskCount = 1;
     Time lastTime = 0;
     bool ready = false;
-    std::size_t pinHorizon = 0; //!< pinned entries ahead of cursor
 
     std::vector<ColdSeed> cold;
-    /** idx -> arrival time for every pinned future index. */
-    FlatMap<std::uint64_t, double> pinned;
 
     std::vector<SideEntry> window;
     std::size_t winBase = 0;
     std::size_t winCount = 0;
     std::size_t cursor = 0; //!< next index nextUse() will accept
-
-    mutable std::vector<TimePage> timePages;
-    mutable std::uint64_t timeReads = 0;
 };
 
 } // namespace pacache

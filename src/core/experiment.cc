@@ -235,22 +235,17 @@ makeWindowedPolicy(const ExperimentConfig &config, const PowerModel &pm,
     wopts.windowEntries = config.windowAccesses;
     if (config.oracleChunkAccesses > 0)
         wopts.chunkAccesses = config.oracleChunkAccesses;
-    wopts.pinTimes = config.policy == PolicyKind::OPG;
-    // Budgeted oracle: half bounds the pinned-times map, half the
-    // policy's SpillPool (max() keeps a 1-byte budget — the fuzzer's
-    // "tightest possible" probe — in budgeted mode).
-    const std::size_t budget = config.oracleMemBudget;
-    const std::size_t half = std::max<std::size_t>(budget / 2, 1);
-    if (wopts.pinTimes && budget > 0)
-        wopts.pinnedBudgetBytes = half;
     WindowedFuture fut(pct_path, wopts);
     const auto prepared = [&fut](auto policy) {
         policy->prepareWindowed(std::move(fut));
         return std::unique_ptr<ReplacementPolicy>(std::move(policy));
     };
-    if (config.policy == PolicyKind::OPG && budget > 0) {
+    // Budgeted oracle: the whole budget goes to the policy's
+    // SpillPool.
+    if (config.policy == PolicyKind::OPG && config.oracleMemBudget > 0) {
         return prepared(std::make_unique<SpilledWindowedOpgPolicy>(
-            pm, opgPricing(config), opgThetaOf(config, pm), half));
+            pm, opgPricing(config), opgThetaOf(config, pm),
+            config.oracleMemBudget));
     }
     if (config.policy == PolicyKind::OPG) {
         return prepared(std::make_unique<WindowedOpgPolicy>(

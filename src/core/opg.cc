@@ -19,9 +19,7 @@ BasicOpgPolicy<F, Store>::BasicOpgPolicy(const PowerModel &pm_,
 
 template <typename F, typename Store>
 void
-BasicOpgPolicy<F, Store>::finishPrepare(
-    std::size_t num_disks, Time last,
-    const std::vector<std::pair<DiskId, std::size_t>> &cold)
+BasicOpgPolicy<F, Store>::resetOracle(std::size_t num_disks, Time last)
 {
     // "No leader/follower" sentinel: far enough out that every energy
     // function has reached its linear (deepest-mode) tail.
@@ -52,11 +50,6 @@ BasicOpgPolicy<F, Store>::finishPrepare(
     }
     handleOf.clear();
     evictOrder.clear();
-
-    // S starts as the set of all cold misses (first references).
-    for (const auto &[disk, i] : cold)
-        detMiss[disk].insert(i);
-    ready = true;
 }
 
 template <typename F, typename Store>
@@ -87,7 +80,11 @@ BasicOpgPolicy<F, Store>::prepare(const std::vector<BlockAccess> &accs)
             if (future.isFirstReference(i))
                 cold.emplace_back(a.block.disk, i);
         }
-        finishPrepare(num_disks, last, cold);
+        resetOracle(num_disks, last);
+        // S starts as the set of all cold misses (first references).
+        for (const auto &[disk, i] : cold)
+            detMiss[disk].insert(TimedIndex{i, accs[i].time});
+        ready = true;
     }
 }
 
@@ -104,29 +101,44 @@ BasicOpgPolicy<F, Store>::prepareWindowed(F &&fut)
                        "prepareWindowed requires a built future");
         future = std::move(fut);
         accesses = nullptr;
-        std::vector<std::pair<DiskId, std::size_t>> cold;
-        cold.reserve(future.coldSeeds().size());
-        for (const auto &seed : future.coldSeeds())
-            cold.emplace_back(seed.disk, seed.idx);
-        finishPrepare(future.numDisks(), future.endTime(), cold);
+        resetOracle(future.numDisks(), future.endTime());
+        // Taken, not copied: the seeds are dead weight once in S.
+        for (const auto &seed : future.takeColdSeeds())
+            detMiss[seed.disk].insert(TimedIndex{seed.idx, seed.time});
+        ready = true;
     }
+}
+
+template <typename F, typename Store>
+TimedIndex
+BasicOpgPolicy<F, Store>::nextUse(std::size_t idx)
+{
+    TimedIndex next{0, 0};
+    if constexpr (F::kStreaming) {
+        next.idx = future.nextUse(idx, next.time);
+    } else {
+        next.idx = future.nextUse(idx);
+        if (next.idx != F::kNever)
+            next.time = (*accesses)[next.idx].time;
+    }
+    return next;
 }
 
 template <typename F, typename Store>
 Energy
 BasicOpgPolicy<F, Store>::computePenalty(DiskId disk,
-                                  std::size_t next_idx) const
+                                         TimedIndex next) const
 {
-    if (next_idx == F::kNever)
+    if (next.idx == F::kNever)
         return 0.0; // never re-referenced: eviction costs nothing
 
-    const auto nb = detMiss[disk].neighbors(next_idx);
+    const auto nb = detMiss[disk].neighbors(next);
     PACACHE_ASSERT(!nb.present,
                    "resident block's next access is a deterministic miss");
 
-    const Time t_x = future.timeOf(next_idx);
-    const Time l = nb.hasPred ? t_x - future.timeOf(nb.pred) : bigTime;
-    const Time f = nb.hasSucc ? future.timeOf(nb.succ) - t_x : bigTime;
+    const Time t_x = next.time;
+    const Time l = nb.hasPred ? t_x - nb.pred.time : bigTime;
+    const Time f = nb.hasSucc ? nb.succ.time - t_x : bigTime;
 
     // eBig is the exact value idleEnergy(bigTime) returns, so the
     // substitution is bit-identical to pricing the missing end.
@@ -139,49 +151,47 @@ BasicOpgPolicy<F, Store>::computePenalty(DiskId disk,
 template <typename F, typename Store>
 void
 BasicOpgPolicy<F, Store>::insertResident(const BlockId &block,
-                                  std::size_t next_idx)
+                                         TimedIndex next)
 {
     const Energy penalty =
-        std::max(computePenalty(block.disk, next_idx), theta);
+        std::max(computePenalty(block.disk, next), theta);
     const Handle h =
-        evictOrder.push(EvictKey{penalty, next_idx, block.packed()});
+        evictOrder.push(EvictKey{penalty, next.idx, block.packed()});
     const bool inserted = handleOf.emplace(block.packed(), h).second;
     PACACHE_ASSERT(inserted, "OPG double insert of resident block");
-    if (next_idx != F::kNever) {
-        const bool fresh =
-            residentByNext[block.disk].insert(next_idx, h);
+    if (next.idx != F::kNever) {
+        const bool fresh = residentByNext[block.disk].insert(
+            next.idx, Resident{h, next.time});
         PACACHE_ASSERT(fresh, "OPG next-use index collision");
     }
 }
 
 template <typename F, typename Store>
-typename BasicOpgPolicy<F, Store>::EvictKey
-BasicOpgPolicy<F, Store>::eraseResident(const BlockId &block)
+TimedIndex
+BasicOpgPolicy<F, Store>::unindexNext(DiskId disk, std::size_t next_idx)
 {
-    Handle *hp = handleOf.find(block.packed());
-    PACACHE_ASSERT(hp, "OPG removal of unknown block");
-    const Handle h = *hp;
-    const EvictKey key = evictOrder.key(h);
-    handleOf.erase(block.packed());
-    if (key.nextIdx != F::kNever) {
-        const bool erased =
-            residentByNext[block.disk].erase(key.nextIdx);
+    TimedIndex next{next_idx, 0};
+    if (next_idx != F::kNever) {
+        Resident r{};
+        const bool erased = residentByNext[disk].take(next_idx, r);
         PACACHE_ASSERT(erased, "OPG residentByNext out of sync");
+        next.time = r.time;
     }
-    evictOrder.erase(h);
-    return key;
+    return next;
 }
 
 template <typename F, typename Store>
 void
-BasicOpgPolicy<F, Store>::repriceGap(DiskId disk, std::size_t lo, bool has_lo,
-                              std::size_t hi, bool has_hi)
+BasicOpgPolicy<F, Store>::repriceGap(DiskId disk, TimedIndex lo,
+                                     bool has_lo, TimedIndex hi,
+                                     bool has_hi)
 {
     // Every resident with next access inside (lo, hi) shares the same
     // leader (lo) and follower (hi) — no per-block detMiss queries.
-    const Time t_lo = has_lo ? future.timeOf(lo) : 0;
-    const Time t_hi = has_hi ? future.timeOf(hi) : 0;
-    const std::size_t hi_key = has_hi ? hi : F::kNever;
+    const Time t_lo = has_lo ? lo.time : 0;
+    const Time t_hi = has_hi ? hi.time : 0;
+    const std::size_t lo_key = has_lo ? lo.idx : 0;
+    const std::size_t hi_key = has_hi ? hi.idx : F::kNever;
     // A missing end always prices as the cached E(bigTime), exactly
     // what computePenalty substitutes. The whole-gap term is NOT
     // hoisted as E(t_hi - t_lo) even though l + f is mathematically
@@ -191,8 +201,8 @@ BasicOpgPolicy<F, Store>::repriceGap(DiskId disk, std::size_t lo, bool has_lo,
     // the per-block form computePenalty (and the reference policy)
     // evaluates.
     residentByNext[disk].forEachInRange(
-        lo, hi_key, [&](std::size_t next_idx, Handle h) {
-            const Time t_x = future.timeOf(next_idx);
+        lo_key, hi_key, [&](std::size_t next_idx, const Resident &r) {
+            const Time t_x = r.time;
             const Time l = has_lo ? t_x - t_lo : bigTime;
             const Time f = has_hi ? t_hi - t_x : bigTime;
             const Energy e_l = has_lo ? idleEnergy(l) : eBig;
@@ -200,24 +210,25 @@ BasicOpgPolicy<F, Store>::repriceGap(DiskId disk, std::size_t lo, bool has_lo,
             const Energy penalty = e_l + e_f - idleEnergy(l + f);
             const Energy fresh =
                 std::max(std::max<Energy>(penalty, 0.0), theta);
-            const EvictKey &key = evictOrder.key(h);
+            const EvictKey &key = evictOrder.key(r.handle);
             if (fresh == key.penalty)
                 return;
-            evictOrder.update(h, EvictKey{fresh, next_idx, key.block});
+            evictOrder.update(r.handle,
+                              EvictKey{fresh, next_idx, key.block});
         });
 }
 
 template <typename F, typename Store>
 void
-BasicOpgPolicy<F, Store>::detInsert(DiskId disk, std::size_t idx)
+BasicOpgPolicy<F, Store>::detInsert(DiskId disk, TimedIndex next)
 {
     typename Store::DetSet::Neighbors nb;
-    const bool fresh = detMiss[disk].insertWithNeighbors(idx, nb);
+    const bool fresh = detMiss[disk].insertWithNeighbors(next, nb);
     PACACHE_ASSERT(fresh, "duplicate deterministic miss");
-    // idx split its gap in two: residents below idx now follow it,
+    // next split its gap in two: residents below it now follow it,
     // residents above now lead from it.
-    repriceGap(disk, nb.hasPred ? nb.pred : 0, nb.hasPred, idx, true);
-    repriceGap(disk, idx, true, nb.hasSucc ? nb.succ : 0, nb.hasSucc);
+    repriceGap(disk, nb.pred, nb.hasPred, next, true);
+    repriceGap(disk, next, true, nb.succ, nb.hasSucc);
 }
 
 template <typename F, typename Store>
@@ -225,11 +236,11 @@ void
 BasicOpgPolicy<F, Store>::detErase(DiskId disk, std::size_t idx)
 {
     typename Store::DetSet::Neighbors nb;
-    const bool was = detMiss[disk].eraseWithNeighbors(idx, nb);
+    const bool was =
+        detMiss[disk].eraseWithNeighbors(TimedIndex{idx, 0}, nb);
     PACACHE_ASSERT(was, "miss not in deterministic-miss set");
     // idx's two gaps merged into one spanning (pred, succ).
-    repriceGap(disk, nb.hasPred ? nb.pred : 0, nb.hasPred,
-               nb.hasSucc ? nb.succ : 0, nb.hasSucc);
+    repriceGap(disk, nb.pred, nb.hasPred, nb.succ, nb.hasSucc);
 }
 
 template <typename F, typename Store>
@@ -248,7 +259,7 @@ BasicOpgPolicy<F, Store>::onAccess(const BlockId &block, Time,
                             std::size_t idx, bool hit)
 {
     PACACHE_ASSERT(ready, "OPG requires prepare() before use");
-    const std::size_t next = future.nextUse(idx);
+    const TimedIndex next = nextUse(idx);
     if (!hit) {
         insertResident(block, next);
         return;
@@ -258,16 +269,18 @@ BasicOpgPolicy<F, Store>::onAccess(const BlockId &block, Time,
     // the next-use index entry. The hit itself is the block's
     // recorded next access, so taking idx out of the next-use index
     // yields the heap handle with no block-keyed hash probe.
-    Handle h{};
-    const bool unindexed = residentByNext[block.disk].take(idx, h);
+    Resident r{};
+    const bool unindexed = residentByNext[block.disk].take(idx, r);
     PACACHE_ASSERT(unindexed, "OPG hit on unindexed block");
-    PACACHE_ASSERT(evictOrder.key(h).nextIdx == idx,
+    PACACHE_ASSERT(evictOrder.key(r.handle).nextIdx == idx,
                    "stale next-use index on hit");
     const Energy penalty =
         std::max(computePenalty(block.disk, next), theta);
-    evictOrder.update(h, EvictKey{penalty, next, block.packed()});
-    if (next != F::kNever) {
-        const bool fresh = residentByNext[block.disk].insert(next, h);
+    evictOrder.update(r.handle,
+                      EvictKey{penalty, next.idx, block.packed()});
+    if (next.idx != F::kNever) {
+        const bool fresh = residentByNext[block.disk].insert(
+            next.idx, Resident{r.handle, next.time});
         PACACHE_ASSERT(fresh, "OPG next-use index collision");
     }
 }
@@ -278,9 +291,15 @@ BasicOpgPolicy<F, Store>::onRemove(const BlockId &block)
 {
     // External removal behaves like an eviction: the block's next
     // reference becomes a deterministic miss.
-    const EvictKey key = eraseResident(block);
-    if (key.nextIdx != F::kNever)
-        detInsert(block.disk, key.nextIdx);
+    Handle *hp = handleOf.find(block.packed());
+    PACACHE_ASSERT(hp, "OPG removal of unknown block");
+    const Handle h = *hp;
+    handleOf.erase(block.packed());
+    const TimedIndex next =
+        unindexNext(block.disk, evictOrder.key(h).nextIdx);
+    evictOrder.erase(h);
+    if (next.idx != F::kNever)
+        detInsert(block.disk, next);
 }
 
 template <typename F, typename Store>
@@ -295,14 +314,10 @@ BasicOpgPolicy<F, Store>::evict(Time, std::size_t)
     const BlockId victim = BlockId::fromPacked(key.block);
     const bool known = handleOf.erase(key.block);
     PACACHE_ASSERT(known, "OPG evicting unknown block");
-    if (key.nextIdx != F::kNever) {
-        const bool erased =
-            residentByNext[victim.disk].erase(key.nextIdx);
-        PACACHE_ASSERT(erased, "OPG residentByNext out of sync");
-    }
+    const TimedIndex next = unindexNext(victim.disk, key.nextIdx);
     evictOrder.pop();
-    if (key.nextIdx != F::kNever)
-        detInsert(victim.disk, key.nextIdx);
+    if (next.idx != F::kNever)
+        detInsert(victim.disk, next);
     return victim;
 }
 
@@ -339,28 +354,41 @@ BasicOpgPolicy<F, Store>::validateInternalState(bool full) const
 
     // Full cross-check: recompute every penalty from scratch and
     // verify every index entry against the incremental bookkeeping.
+    // The materialized oracle also checks every carried time against
+    // the access records.
+    const auto checkTime = [&](std::size_t idx, Time t) {
+        PACACHE_ASSERT(!accesses || (*accesses)[idx].time == t,
+                       "carried time of index ", idx, " is stale");
+    };
     evictOrder.validate();
-    for (const auto &s : detMiss)
+    for (const auto &s : detMiss) {
         s.checkInvariants();
+        s.forEach([&](const TimedIndex &x) { checkTime(x.idx, x.time); });
+    }
     std::size_t finite = 0;
     handleOf.forEach([&](std::uint64_t packed, Handle h) {
         const EvictKey &key = evictOrder.key(h);
         PACACHE_ASSERT(key.block == packed,
                        "victim-heap handle points at wrong block");
         const BlockId block = BlockId::fromPacked(packed);
+        TimedIndex next{key.nextIdx, 0};
+        if (key.nextIdx != F::kNever) {
+            ++finite;
+            // Copy out at once: a spilled find() pointer dies with
+            // the next pool operation.
+            const Resident *indexed =
+                residentByNext[block.disk].find(key.nextIdx);
+            PACACHE_ASSERT(indexed && indexed->handle == h,
+                           "missing next-use index entry");
+            next.time = indexed->time;
+            checkTime(next.idx, next.time);
+        }
         const Energy freshPenalty =
-            std::max(computePenalty(block.disk, key.nextIdx), theta);
+            std::max(computePenalty(block.disk, next), theta);
         PACACHE_ASSERT(freshPenalty == key.penalty,
                        "stale penalty for disk ", block.disk,
                        " block ", block.block, ": cached ",
                        key.penalty, " fresh ", freshPenalty);
-        if (key.nextIdx == F::kNever)
-            return;
-        ++finite;
-        const Handle *indexedHandle =
-            residentByNext[block.disk].find(key.nextIdx);
-        PACACHE_ASSERT(indexedHandle && *indexedHandle == h,
-                       "missing next-use index entry");
     });
     PACACHE_ASSERT(indexed == finite,
                    "next-use index holds stale entries");

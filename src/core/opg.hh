@@ -30,14 +30,18 @@
  * Implementation (the oracle fast path; ReferenceOpgPolicy in
  * core/opg_ref.hh is the retained node-based original):
  *
- *  - per disk, S is a chunked sorted-vector OrderedSet whose
- *    neighbors() query answers leader/follower/membership in one
- *    locate;
+ *  - every future index OPG tracks carries its arrival time with it
+ *    (a TimedIndex), so pricing never looks a time up: the time is
+ *    read once, when the index is learned — from the next-use query
+ *    or a cold seed — and travels inside the oracle state;
+ *  - per disk, S is a chunked sorted-vector OrderedSet of
+ *    TimedIndexes whose neighbors() query answers leader/follower
+ *    (with their times) and membership in one locate;
  *  - resident blocks with a finite next access live in a per-disk
- *    OrderedSet map from next-access index to victim-heap handle, so
- *    gap-scoped repricing is a contiguous range scan with no hash
- *    lookups (blocks that are never re-referenced have nothing to
- *    reprice and stay out of the index);
+ *    OrderedSet map from next-access index to {victim-heap handle,
+ *    next-access time}, so gap-scoped repricing is a contiguous range
+ *    scan with no hash lookups (blocks that are never re-referenced
+ *    have nothing to reprice and stay out of the index);
  *  - the victim order is an addressable 4-ary IndexedHeap keyed by
  *    (penalty, furthest next access, block); repricing updates keys
  *    in place through stable handles;
@@ -50,9 +54,9 @@
  * fits-in-RAM fast path) or WindowedFuture (exact out-of-core
  * next-use streaming over a .pct sidecar; WindowedOpgPolicy, fed by
  * prepareWindowed() instead of prepare()). All instantiations live
- * in opg.cc — the replay loops are identical, only nextUse/timeOf
- * resolution differs, and the windowed provider's pinned-times
- * discipline guarantees every index OPG queries is resident.
+ * in opg.cc — the replay loops are identical; only where a next
+ * use's time comes from differs (its BlockAccess record, or the
+ * windowed sidecar entry that names the next use).
  *
  * A second template axis, Store, picks where the oracle's ordered
  * state lives. InMemoryOracleStore (the default) keeps the per-disk
@@ -84,6 +88,19 @@
 namespace pacache
 {
 
+/**
+ * A future access index with its arrival time riding along. Ordered
+ * and compared by index alone, so a lookup probe may carry any time.
+ */
+struct TimedIndex
+{
+    std::size_t idx;
+    Time time;
+
+    bool operator<(const TimedIndex &o) const { return idx < o.idx; }
+    bool operator==(const TimedIndex &o) const { return idx == o.idx; }
+};
+
 /** Which idle-period energy function prices the penalties. */
 enum class DpmKind
 {
@@ -95,7 +112,7 @@ enum class DpmKind
 struct InMemoryOracleStore
 {
     static constexpr bool kSpilled = false;
-    using DetSet = OrderedSet<std::size_t>;
+    using DetSet = OrderedSet<TimedIndex>;
     template <typename V>
     using Map = OrderedSet<std::size_t, V>;
 };
@@ -104,7 +121,7 @@ struct InMemoryOracleStore
 struct SpilledOracleStore
 {
     static constexpr bool kSpilled = true;
-    using DetSet = SpillableOrderedSet<std::size_t>;
+    using DetSet = SpillableOrderedSet<TimedIndex>;
     template <typename V>
     using Map = SpillableOrderedSet<std::size_t, V>;
 };
@@ -200,30 +217,38 @@ class BasicOpgPolicy : public ReplacementPolicy
     using EvictHeap = IndexedHeap<EvictKey>;
     using Handle = typename EvictHeap::Handle;
 
+    /** residentByNext payload: the heap entry and the next's time. */
+    struct Resident
+    {
+        Handle handle;
+        Time time; //!< arrival time of the indexing next access
+    };
+
     Energy
     idleEnergy(Time t) const
     {
         return dpmKind == DpmKind::Oracle ? pm->envelope(t)
                                           : pm->practicalEnergy(t);
     }
-    Energy computePenalty(DiskId disk, std::size_t next_idx) const;
+    /** Penalty of a resident whose next access is @p next. */
+    Energy computePenalty(DiskId disk, TimedIndex next) const;
+    /** Consume the next-use query for @p idx, with the next's time. */
+    TimedIndex nextUse(std::size_t idx);
 
-    /** Shared tail of both prepares: sentinel, tables, cold seeds. */
-    void finishPrepare(
-        std::size_t num_disks, Time last,
-        const std::vector<std::pair<DiskId, std::size_t>> &cold);
+    /** Shared part of both prepares: sentinel and empty tables. */
+    void resetOracle(std::size_t num_disks, Time last);
 
-    void insertResident(const BlockId &block, std::size_t next_idx);
-    /** Drop a resident from every index; @return its evict key. */
-    EvictKey eraseResident(const BlockId &block);
+    void insertResident(const BlockId &block, TimedIndex next);
+    /** Unindex a resident's next access; @return it with its time. */
+    TimedIndex unindexNext(DiskId disk, std::size_t next_idx);
     /**
      * Re-price resident blocks with next access in (lo, hi), where lo
      * and hi (when present) are known to be the gap's deterministic
      * misses — their leader and follower.
      */
-    void repriceGap(DiskId disk, std::size_t lo, bool has_lo,
-                    std::size_t hi, bool has_hi);
-    void detInsert(DiskId disk, std::size_t idx);
+    void repriceGap(DiskId disk, TimedIndex lo, bool has_lo,
+                    TimedIndex hi, bool has_hi);
+    void detInsert(DiskId disk, TimedIndex next);
     void detErase(DiskId disk, std::size_t idx);
 
     const PowerModel *pm;
@@ -244,8 +269,8 @@ class BasicOpgPolicy : public ReplacementPolicy
      */
     std::unique_ptr<SpillPool> spillPool;
     std::vector<typename Store::DetSet> detMiss; //!< per-disk S
-    /** Per disk: finite next-access index -> victim-heap handle. */
-    std::vector<typename Store::template Map<Handle>> residentByNext;
+    /** Per disk: finite next-access index -> handle and time. */
+    std::vector<typename Store::template Map<Resident>> residentByNext;
     /** Packed 64-bit keys: 16-byte slots, one-word hash per probe. */
     FlatMap<std::uint64_t, Handle> handleOf;
     EvictHeap evictOrder;

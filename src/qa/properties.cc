@@ -382,9 +382,9 @@ propSpilledOracleEquivalence(const FuzzCase &c)
                            diff);
     }
 
-    // The windowed oracle under a budget additionally spills
-    // far-future pinned entries and rereads arrival times from the
-    // sidecar; fuzz the window geometry along with the budget.
+    // The windowed oracle under a budget takes its times from the
+    // sidecar as it streams and spills them with the keys they ride
+    // on; fuzz the window geometry along with the budget.
     ExperimentConfig wcfg = cfg;
     const std::size_t accesses =
         std::max<std::size_t>(c.trace.numBlockAccesses(), 1);

@@ -4,7 +4,10 @@
  * backward chunked pass over the .pct file, stitched across chunk
  * boundaries by the carry map, yields the *global* next-use chain for
  * every window and chunk size — including window 1 and a chunk
- * smaller than one multi-block request.
+ * smaller than one multi-block request. Every cold seed and every
+ * timed next-use query must also report the exact arrival time of
+ * the index it names, since OPG prices idle periods from those times
+ * alone.
  */
 
 #include <gtest/gtest.h>
@@ -66,12 +69,13 @@ writeTracePct(const Trace &t, const std::string &name)
 
 /**
  * Drive @p fut through the whole access stream in consumption order
- * and compare every next-use index (and, when pinned, every pinned
- * time) against the materialized reference.
+ * and compare every next-use index against the materialized
+ * reference. @p timed consumes through the timed nextUse() overload
+ * (OPG's) and checks every reported time against the access records;
+ * untimed consumes through the index-only one (Belady's).
  */
 void
-expectMatchesReference(const Trace &t, WindowedFuture &fut,
-                       bool pinned)
+expectMatchesReference(const Trace &t, WindowedFuture &fut, bool timed)
 {
     const std::vector<BlockAccess> accesses = expandTrace(t);
     const FutureKnowledge ref = FutureKnowledge::build(accesses);
@@ -89,18 +93,29 @@ expectMatchesReference(const Trace &t, WindowedFuture &fut,
         EXPECT_EQ(fut.coldSeeds()[seed_at].idx, i);
         EXPECT_EQ(fut.coldSeeds()[seed_at].disk,
                   accesses[i].block.disk);
+        EXPECT_EQ(fut.coldSeeds()[seed_at].time, accesses[i].time)
+            << "cold " << i;
         ++seed_at;
     }
     EXPECT_EQ(seed_at, fut.coldSeeds().size());
 
+    std::size_t timed_nexts = 0;
     for (std::size_t i = 0; i < ref.size(); ++i) {
-        if (pinned && ref.isFirstReference(i))
-            EXPECT_EQ(fut.timeOf(i), ref.timeOf(i)) << "cold " << i;
-        const std::size_t next = fut.nextUse(i);
+        if (!timed) {
+            EXPECT_EQ(fut.nextUse(i), ref.nextUse(i)) << "idx " << i;
+            continue;
+        }
+        Time time = -1;
+        const std::size_t next = fut.nextUse(i, time);
         EXPECT_EQ(next, ref.nextUse(i)) << "idx " << i;
-        if (pinned && next != WindowedFuture::kNever)
-            EXPECT_EQ(fut.timeOf(next), ref.timeOf(next))
-                << "successor of " << i;
+        if (next == WindowedFuture::kNever)
+            continue;
+        EXPECT_EQ(time, accesses[next].time) << "successor of " << i;
+        ++timed_nexts;
+    }
+    // Every non-first access is some earlier access's timed next use.
+    if (timed) {
+        EXPECT_EQ(timed_nexts, ref.size() - fut.coldSeeds().size());
     }
 }
 
@@ -118,7 +133,7 @@ TEST(WindowedFuture, ExactForEveryWindowAndChunkSize)
         opts.chunkAccesses = chunk;
         WindowedFuture fut(pct, opts);
         SCOPED_TRACE("window " + std::to_string(w));
-        expectMatchesReference(t, fut, /*pinned=*/true);
+        expectMatchesReference(t, fut, /*timed=*/true);
     }
 }
 
@@ -135,20 +150,19 @@ TEST(WindowedFuture, ChunkBoundariesInsideMultiBlockRequests)
         opts.chunkAccesses = chunk;
         WindowedFuture fut(pct, opts);
         SCOPED_TRACE("chunk " + std::to_string(chunk));
-        expectMatchesReference(t, fut, /*pinned=*/true);
+        expectMatchesReference(t, fut, /*timed=*/true);
     }
 }
 
-TEST(WindowedFuture, BeladyModeSkipsPinning)
+TEST(WindowedFuture, IndexOnlyNextUseForBelady)
 {
     const Trace t = workload(9);
-    const std::string pct = writeTracePct(t, "winfut_nopin.pct");
+    const std::string pct = writeTracePct(t, "winfut_untimed.pct");
     WindowedFuture::Options opts;
     opts.windowEntries = 32;
     opts.chunkAccesses = 100;
-    opts.pinTimes = false;
     WindowedFuture fut(pct, opts);
-    expectMatchesReference(t, fut, /*pinned=*/false);
+    expectMatchesReference(t, fut, /*timed=*/false);
 }
 
 TEST(WindowedFuture, MoveTransfersTheStream)

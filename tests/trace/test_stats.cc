@@ -87,7 +87,9 @@ TEST(TraceStatsTest, StreamingOverloadMatchesMaterialized)
 
 TEST(TraceStatsTest, StreamingOverloadEmptySource)
 {
-    tracefmt::MemorySource src(Trace{});
+    // MemorySource keeps a reference: the trace must outlive it.
+    const Trace empty;
+    tracefmt::MemorySource src(empty);
     const TraceStats s = characterize(src);
     EXPECT_EQ(s.requests, 0u);
     EXPECT_EQ(s.disks, 0u);

@@ -15,6 +15,7 @@
 #include <set>
 #include <vector>
 
+#include "support/payload_key.hh"
 #include "util/ordered_set.hh"
 
 namespace pacache
@@ -233,6 +234,16 @@ TEST(OrderedSet, RandomizedDifferentialVsStdMap)
          it != model.end() && it->first < 1900; ++it)
         want.emplace_back(it->first, it->second);
     EXPECT_EQ(got, want);
+}
+
+TEST(OrderedSet, StructKeyPayloadRoundTrips)
+{
+    // Keys ordered by index alone, each carrying a payload (OPG's
+    // timed deterministic misses): every neighbor and range answer
+    // must hand back the payload stored with that index, across
+    // chunk splits and chunk drains.
+    OrderedSet<test::PayloadKey> s;
+    test::expectPayloadsRoundTrip(s, 21, 30000, std::size_t(1) << 13);
 }
 
 } // namespace

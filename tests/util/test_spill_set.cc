@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "support/payload_key.hh"
 #include "util/ordered_set.hh"
 #include "util/spill_pool.hh"
 #include "util/spill_set.hh"
@@ -234,6 +235,21 @@ TEST(SpillableOrderedSet, SharedPoolAcrossManySets)
     EXPECT_EQ(total, 2000u);
     EXPECT_GT(pool.evictions(), 0u);
     pool.checkInvariants();
+}
+
+TEST(SpillableOrderedSet, StructKeyPayloadRoundTripsThroughSpill)
+{
+    // A one-byte budget keeps only the page an operation has pinned
+    // resident (a one-page pool): every other page round-trips its
+    // keys, payloads included, through a spill slot between touches,
+    // and cross-page neighbors come from the resident page metadata.
+    SpillPool pool(1);
+    SpillableOrderedSet<test::PayloadKey> s;
+    s.attach(pool);
+    test::expectPayloadsRoundTrip(s, 22, 30000, std::size_t(1) << 13);
+    EXPECT_GT(s.pages(), 4u);
+    EXPECT_GT(s.faults(), 1000u);
+    EXPECT_LE(s.residentPages(), 1u);
 }
 
 } // namespace

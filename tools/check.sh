@@ -171,8 +171,8 @@ step "sharded streaming determinism smoke (Release)"
 # 1e7-record x 64-disk scaled OLTP trace to .pct (never
 # materialized), then replay it disk-sharded with the windowed OPG
 # oracle under a tight oracle memory budget (64 MiB across 8 shards
-# — every tier spills: deterministic-miss pages, pinned times, and
-# the cold-miss bitmap) at --jobs 1 and --jobs 8, plus once
+# — every tier spills: deterministic-miss pages with their carried
+# times, and the cold-miss bitmap) at --jobs 1 and --jobs 8, plus once
 # unbudgeted. All three reports must be byte-identical: worker count
 # only changes scheduling, and spilling only changes where oracle
 # bytes live — never statistics.

@@ -66,8 +66,8 @@ workload selection (one of):
                          (default: 4Mi; smaller = less build memory)
   --oracle-mem-budget M  with opg: cap the oracle's in-RAM replay
                          state (deterministic-miss sets, next-use
-                         indexes, pinned times) at M MiB, spilling
-                         overflow pages to unlinked temporary files;
+                         indexes) at M MiB, spilling overflow pages
+                         to unlinked temporary files;
                          results stay bit-identical to the unbounded
                          oracle (0 = unbounded, the default)
   --shards N             partition the trace by disk (shard = disk id

@@ -12,10 +12,9 @@
  * std::prev(set.end()) victim — with a flat hash map from block to
  * its stable heap handle.
  *
- * Like OPG the policy is templated over its future provider F:
- * FutureKnowledge (materialized; BeladyPolicy) or WindowedFuture
- * (exact out-of-core streaming; WindowedBeladyPolicy, fed through
- * prepareWindowed — MIN reads only next-use indices, never times).
+ * Like OPG it reads one WindowedFuture, built in memory by prepare()
+ * or out of core and handed over through prepareWindowed(); MIN
+ * consumes only the next-use indices, never their times.
  */
 
 #ifndef PACACHE_CACHE_BELADY_HH
@@ -31,17 +30,14 @@
 namespace pacache
 {
 
-/** Belady's off-line MIN replacement policy over future provider F. */
-template <typename F>
-class BasicBeladyPolicy : public ReplacementPolicy
+/** Belady's off-line MIN replacement policy. */
+class BeladyPolicy : public ReplacementPolicy
 {
   public:
     const char *name() const override { return "Belady"; }
 
     void prepare(const std::vector<BlockAccess> &accesses) override;
-
-    /** Streaming counterpart of prepare() (F = WindowedFuture). */
-    void prepareWindowed(F &&fut);
+    void prepareWindowed(WindowedFuture &&fut) override;
 
     void onAccess(const BlockId &block, Time now, std::size_t idx,
                   bool hit) override;
@@ -49,10 +45,7 @@ class BasicBeladyPolicy : public ReplacementPolicy
     BlockId evict(Time now, std::size_t idx) override;
     bool supportsPrefetch() const override { return false; }
     bool isOffline() const override { return true; }
-    bool streamReady() const override
-    {
-        return F::kStreaming && prepared;
-    }
+    bool streamReady() const override { return future.built(); }
 
   private:
     using UseKey = std::pair<std::size_t, BlockId>;
@@ -68,24 +61,14 @@ class BasicBeladyPolicy : public ReplacementPolicy
     };
 
     using UseHeap = IndexedHeap<UseKey, FurthestFirst>;
-    using Handle = typename UseHeap::Handle;
+    using Handle = UseHeap::Handle;
 
-    F future;
-    bool prepared = false;
+    WindowedFuture future;
 
     UseHeap byNextUse;
     /** Packed 64-bit keys: 16-byte slots, one-word hash per probe. */
     FlatMap<std::uint64_t, Handle> handleOf;
 };
-
-// Compiled once in belady.cc; see the matching note in core/opg.hh.
-extern template class BasicBeladyPolicy<FutureKnowledge>;
-extern template class BasicBeladyPolicy<WindowedFuture>;
-
-/** The classic materialized MIN. */
-using BeladyPolicy = BasicBeladyPolicy<FutureKnowledge>;
-/** The exact out-of-core MIN (streaming replay only). */
-using WindowedBeladyPolicy = BasicBeladyPolicy<WindowedFuture>;
 
 } // namespace pacache
 

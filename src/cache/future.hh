@@ -3,11 +3,13 @@
  * Block-granular access streams and off-line future knowledge.
  *
  * The storage cache operates on single blocks, so multi-block trace
- * requests are expanded into per-block accesses. Off-line policies
- * (Belady, OPG) additionally need, for every access, the index of the
- * *next* access to the same block and whether the access is the first
- * ever to its block (a cold miss); FutureKnowledge precomputes both
- * in O(n).
+ * requests are expanded into per-block accesses. FutureKnowledge
+ * precomputes, in O(n), for every access the index of the *next*
+ * access to the same block and whether the access is the first ever
+ * to its block (a cold miss), answering both by random access. The
+ * exhaustive optimum (core/optimal.hh) and the reference oracles read
+ * it; the fast oracles (Belady, OPG) consume the same knowledge in
+ * order from a WindowedFuture (cache/future_window.hh).
  */
 
 #ifndef PACACHE_CACHE_FUTURE_HH
@@ -43,17 +45,13 @@ std::vector<BlockAccess> expandTrace(const Trace &trace);
  * Next-use and cold-miss precomputation for off-line policies.
  *
  * Stored as structure-of-arrays: the next-use chain and the
- * cold-miss bits each live in their own dense array. Arrival times
- * are not copied: OPG reads a next use's time once, from its
- * BlockAccess record, and carries it inside its own oracle state.
+ * cold-miss bits each live in their own dense array.
  */
 class FutureKnowledge
 {
   public:
     /** Sentinel: the block is never accessed again. */
     static constexpr std::size_t kNever = static_cast<std::size_t>(-1);
-    /** Materialized provider: consumers may hold the whole stream. */
-    static constexpr bool kStreaming = false;
 
     /** Build from an expanded access stream. */
     static FutureKnowledge build(const std::vector<BlockAccess> &accesses);

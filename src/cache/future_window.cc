@@ -62,6 +62,51 @@ preadFully(int fd, void *data, std::size_t n, uint64_t offset)
 
 } // namespace
 
+WindowedFuture::WindowedFuture(const std::vector<BlockAccess> &accesses)
+    : total(accesses.size()), window(accesses.size()), winCount(total)
+{
+    // The .pct build's backward pass over one chunk spanning the
+    // whole stream, with the entries written straight into the
+    // window. The carry map holds indices only, sized to half the
+    // trace like FutureKnowledge's (16-byte slots); each time is read
+    // from the records when its index is emitted.
+    PACACHE_ASSERT(total < UINT32_MAX,
+                   "trace too large for 32-bit future indices");
+    std::vector<bool> first(total, false);
+    std::size_t num_cold = 0;
+    {
+        FlatMap<std::uint64_t, std::uint32_t> carry;
+        carry.reserve(total / 2 + 16);
+        for (std::size_t i = total; i-- > 0;) {
+            const BlockAccess &a = accesses[i];
+            diskCount =
+                std::max<std::size_t>(diskCount, a.block.disk + 1);
+            lastTime = std::max(lastTime, a.time);
+            auto [slot, inserted] = carry.emplace(
+                a.block.packed(), static_cast<std::uint32_t>(i));
+            if (!inserted) {
+                window[i] = SideEntry{*slot, accesses[*slot].time};
+                *slot = static_cast<std::uint32_t>(i);
+            } else {
+                window[i] = SideEntry{kNever64, 0.0};
+            }
+        }
+        // Carry leftovers are each block's first reference.
+        num_cold = carry.size();
+        carry.forEach(
+            [&](std::uint64_t, std::uint32_t idx) { first[idx] = true; });
+    }
+    // Collected in a forward scan once the carry map is gone, so the
+    // seeds come out ascending and never coexist with it.
+    cold.reserve(num_cold);
+    for (std::size_t i = 0; i < total; ++i) {
+        if (first[i])
+            cold.push_back(ColdSeed{i, accesses[i].block.disk,
+                                    accesses[i].time});
+    }
+    ready = true;
+}
+
 WindowedFuture::WindowedFuture(const std::string &pct_path)
     : WindowedFuture(pct_path, Options{})
 {
@@ -150,6 +195,8 @@ WindowedFuture::build(const std::string &pct_path)
         }
     }
     map.dropRange(last_drop, info.records - last_drop);
+    PACACHE_ASSERT(access < (uint64_t{1} << 48),
+                   "trace too large for 48-bit cold-seed indices");
     total = static_cast<std::size_t>(access);
 
     sidecarFd = openUnlinkedTemp("pacache-sidecar");
@@ -215,8 +262,7 @@ WindowedFuture::build(const std::string &pct_path)
     // Carry leftovers are each block's first reference.
     cold.reserve(carry.size());
     carry.forEach([&](std::uint64_t packed, const Prev &p) {
-        cold.push_back(ColdSeed{BlockId::fromPacked(packed).disk,
-                                static_cast<std::size_t>(p.idx),
+        cold.push_back(ColdSeed{p.idx, BlockId::fromPacked(packed).disk,
                                 p.time});
     });
     std::sort(cold.begin(), cold.end(),

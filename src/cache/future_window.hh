@@ -1,33 +1,37 @@
 /**
  * @file
- * Out-of-core future knowledge for off-line policies.
+ * Streamed future knowledge for the off-line policies (OPG, Belady).
  *
- * FutureKnowledge (cache/future.hh) materializes the whole expanded
- * access stream plus its trace-length next-use arrays — fine for RAM-sized
- * traces, impossible for billion-request ones. WindowedFuture
- * computes the same next-use chain *exactly* without ever holding
- * the trace in memory:
+ * WindowedFuture is the one future type the fast oracles read: for
+ * every access, in consumption order, the index of the next access
+ * to the same block and that access's arrival time, plus every
+ * block's first (cold) reference with its own time. It has two
+ * builders running the same backward pass (a carry map holding each
+ * block's earliest access in the processed suffix) and producing the
+ * same 16-byte {next, time} entries and timed cold seeds:
  *
- *  1. A backward pass walks the mmap'd .pct file chunk by chunk in
- *     reverse order. A carry map (block -> earliest access seen so
- *     far in the processed suffix) crosses every chunk boundary, so
- *     the stitching is exact for any look-ahead: each access's next
- *     use is the global one, not a per-chunk approximation. Each
- *     chunk emits fixed 16-byte sidecar entries (next index + next
- *     time) into an unlinked temporary file via pwrite, then the
- *     chunk's pages are released (MADV_DONTNEED).
+ *  - in memory, over an expanded access vector (prepare()): the
+ *    whole stream's entries stay in the window, so nothing is ever
+ *    refilled and no file is touched;
  *
- *  2. Forward replay consumes sidecar entries strictly in order
- *     through a bounded window buffer refilled by pread, so peak RSS
- *     is bounded by max(chunk, window, one entry per unique block) —
- *     never by the trace length.
+ *  - out of core, over a .pct file, for traces larger than RAM. The
+ *    backward pass walks the mmap'd file chunk by chunk in reverse
+ *    order; the carry map crosses every chunk boundary, so each
+ *    access's next use is the global one for any look-ahead, not a
+ *    per-chunk approximation. Each chunk's entries go to an unlinked
+ *    sidecar file via pwrite and the chunk's pages are released
+ *    (MADV_DONTNEED). Forward replay reads the sidecar through a
+ *    bounded window refilled by pread, so peak RSS is bounded by
+ *    max(chunk, window, one entry per unique block), never by the
+ *    trace length.
  *
- * Every sidecar entry carries its successor's arrival time next to
- * its index, and every cold seed carries its own, so a consumer that
- * prices idle periods (OPG) receives each future index's time at the
- * moment it learns the index and keeps the two together in its own
- * state. The future itself answers no time queries and holds no
- * per-block state after the build.
+ * Consumption is strictly in order, once per index, whichever
+ * builder ran. A consumer that prices idle periods (OPG) receives
+ * each future index's time at the moment it learns the index and
+ * keeps the two together in its own state; the future answers no
+ * time queries and holds no per-block state after the build.
+ * FutureKnowledge (cache/future.hh) is the random-access
+ * next-use table of the exhaustive optimum and the reference oracles.
  */
 
 #ifndef PACACHE_CACHE_FUTURE_WINDOW_HH
@@ -39,19 +43,18 @@
 #include <utility>
 #include <vector>
 
+#include "cache/future.hh"
 #include "sim/types.hh"
 
 namespace pacache
 {
 
-/** Streaming (bounded-memory) next-use knowledge over a .pct file. */
+/** In-order next-use knowledge, built in memory or over a .pct file. */
 class WindowedFuture
 {
   public:
     /** Sentinel: the block is never accessed again. */
     static constexpr std::size_t kNever = static_cast<std::size_t>(-1);
-    /** Consumers must stream accesses instead of materializing. */
-    static constexpr bool kStreaming = true;
 
     struct Options
     {
@@ -61,7 +64,8 @@ class WindowedFuture
         std::size_t chunkAccesses = std::size_t(1) << 22;
         /**
          * No effect: successor times always travel with nextUse().
-         * Kept so existing option-setting callers still compile.
+         * Kept only because the frozen benchmark harness
+         * (perfbench/src/sharded_wtdu.cc) sets it; ROADMAP item 2.
          */
         bool pinTimes = true;
         /**
@@ -71,19 +75,28 @@ class WindowedFuture
          * every record anyway.
          */
         bool verifyChecksum = false;
-        /** No effect, like pinTimes; the future has no pinned map. */
+        /** No effect and kept for the same harness, like pinTimes. */
         std::size_t pinnedBudgetBytes = 0;
     };
 
-    /** A block's first-ever access: seeds OPG's deterministic set. */
+    /**
+     * A block's first-ever access: seeds OPG's deterministic set.
+     * 16 bytes, as one seed is kept per unique block: disk ids fit
+     * 16 bits (the packed-key guard) and indices 48.
+     */
     struct ColdSeed
     {
-        DiskId disk;
-        std::size_t idx;
+        std::uint64_t idx : 48;
+        std::uint64_t disk : 16;
         Time time; //!< arrival time of access idx
     };
 
     WindowedFuture() = default;
+    /**
+     * Run the backward pass over @p accesses, keeping every entry in
+     * the window. The vector is not retained.
+     */
+    explicit WindowedFuture(const std::vector<BlockAccess> &accesses);
     /** Run the backward pass over @p pct_path (fatal on I/O error). */
     explicit WindowedFuture(const std::string &pct_path);
     WindowedFuture(const std::string &pct_path, Options opts);
@@ -99,13 +112,13 @@ class WindowedFuture
     std::size_t size() const { return total; }
     /** Max disk id + 1 (at least 1). */
     std::size_t numDisks() const { return diskCount; }
-    /** Last arrival time (the .pct header's endTime). */
+    /** Last arrival time (the .pct header's endTime in that build). */
     Time endTime() const { return lastTime; }
 
     /**
      * Index of the next access to the same block (kNever if none).
      * Consuming: must be called exactly once per index, in strictly
-     * increasing order — it advances the sidecar window.
+     * increasing order — it advances the window.
      */
     std::size_t
     nextUse(std::size_t idx)
@@ -127,7 +140,7 @@ class WindowedFuture
     std::vector<ColdSeed> takeColdSeeds() { return std::move(cold); }
 
   private:
-    /** Sidecar record: next access index (~0 = never) and its time. */
+    /** Stream entry: next access index (~0 = never) and its time. */
     struct SideEntry
     {
         std::uint64_t next;

@@ -18,9 +18,12 @@
 
 #include "cache/future.hh"
 #include "sim/types.hh"
+#include "util/logging.hh"
 
 namespace pacache
 {
+
+class WindowedFuture;
 
 /** Abstract cache replacement policy. */
 class ReplacementPolicy
@@ -36,6 +39,17 @@ class ReplacementPolicy
      * block-granular access stream. On-line policies ignore it.
      */
     virtual void prepare(const std::vector<BlockAccess> &) {}
+
+    /**
+     * Off-line hook taking future knowledge built elsewhere (over a
+     * .pct file, out of core) in place of prepare()'s in-memory
+     * build. Only the oracles accept it.
+     */
+    virtual void
+    prepareWindowed(WindowedFuture &&)
+    {
+        PACACHE_PANIC(name(), " takes no future knowledge");
+    }
 
     /**
      * Notification of an access to @p block at time @p now.
@@ -81,8 +95,8 @@ class ReplacementPolicy
     /**
      * True when this policy can replay a stream it has never seen
      * materialized. On-line policies always can; off-line ones only
-     * when armed with out-of-core future knowledge (the windowed
-     * oracles override this once prepareWindowed() has run).
+     * once their future knowledge is built (the oracles override
+     * this to hold after prepare() or prepareWindowed()).
      */
     virtual bool streamReady() const { return !isOffline(); }
 };

@@ -224,7 +224,7 @@ namespace
 /**
  * The off-line policy of an out-of-core run, prepared on windowed
  * future knowledge over @p pct_path: the backward pass over the file
- * replaces prepare()'s whole-trace oracle indexing.
+ * replaces prepare()'s in-memory build.
  */
 std::unique_ptr<ReplacementPolicy>
 makeWindowedPolicy(const ExperimentConfig &config, const PowerModel &pm,
@@ -235,25 +235,10 @@ makeWindowedPolicy(const ExperimentConfig &config, const PowerModel &pm,
     wopts.windowEntries = config.windowAccesses;
     if (config.oracleChunkAccesses > 0)
         wopts.chunkAccesses = config.oracleChunkAccesses;
-    WindowedFuture fut(pct_path, wopts);
-    const auto prepared = [&fut](auto policy) {
-        policy->prepareWindowed(std::move(fut));
-        return std::unique_ptr<ReplacementPolicy>(std::move(policy));
-    };
-    // Budgeted oracle: the whole budget goes to the policy's
-    // SpillPool.
-    if (config.policy == PolicyKind::OPG && config.oracleMemBudget > 0) {
-        return prepared(std::make_unique<SpilledWindowedOpgPolicy>(
-            pm, opgPricing(config), opgThetaOf(config, pm),
-            config.oracleMemBudget));
-    }
-    if (config.policy == PolicyKind::OPG) {
-        return prepared(std::make_unique<WindowedOpgPolicy>(
-            pm, opgPricing(config), opgThetaOf(config, pm)));
-    }
-    PACACHE_ASSERT(config.policy == PolicyKind::Belady,
-                   "windowed oracle supports Belady/OPG only");
-    return prepared(std::make_unique<WindowedBeladyPolicy>());
+    auto policy = makeReplacementPolicy(config, pm, nullptr,
+                                        config.cacheBlocks);
+    policy->prepareWindowed(WindowedFuture(pct_path, wopts));
+    return policy;
 }
 
 } // namespace

@@ -8,28 +8,41 @@
 namespace pacache
 {
 
-template <typename F, typename Store>
-BasicOpgPolicy<F, Store>::BasicOpgPolicy(const PowerModel &pm_,
-                                         DpmKind kind, Energy theta_,
-                                         std::size_t mem_budget)
+template <typename Store>
+BasicOpgPolicy<Store>::BasicOpgPolicy(const PowerModel &pm_,
+                                      DpmKind kind, Energy theta_,
+                                      std::size_t mem_budget)
     : pm(&pm_), dpmKind(kind), theta(theta_), memBudget(mem_budget)
 {
     PACACHE_ASSERT(theta >= 0, "theta must be non-negative");
 }
 
-template <typename F, typename Store>
+template <typename Store>
 void
-BasicOpgPolicy<F, Store>::resetOracle(std::size_t num_disks, Time last)
+BasicOpgPolicy<Store>::prepare(const std::vector<BlockAccess> &accs)
 {
+    prepareWindowed(WindowedFuture(accs));
+    accesses = &accs;
+}
+
+template <typename Store>
+void
+BasicOpgPolicy<Store>::prepareWindowed(WindowedFuture &&fut)
+{
+    PACACHE_ASSERT(fut.built(), "prepareWindowed requires a built future");
+    future = std::move(fut);
+    accesses = nullptr;
+
     // "No leader/follower" sentinel: far enough out that every energy
     // function has reached its linear (deepest-mode) tail.
     const auto &thr = pm->thresholds();
     const Time deepest = thr.empty() ? 0.0 : thr.back();
-    bigTime = last + 4 * deepest + 1000.0;
+    bigTime = future.endTime() + 4 * deepest + 1000.0;
     // A missing leader/follower always prices as E(bigTime); cache
     // the scan once instead of re-running it per gap endpoint.
     eBig = idleEnergy(bigTime);
 
+    const std::size_t num_disks = future.numDisks();
     if constexpr (Store::kSpilled) {
         // Spillable sets hold pool-registered pages: destroy them
         // against the old pool before replacing it, then attach the
@@ -50,86 +63,19 @@ BasicOpgPolicy<F, Store>::resetOracle(std::size_t num_disks, Time last)
     }
     handleOf.clear();
     evictOrder.clear();
+
+    // S starts as the set of all cold misses (first references).
+    // Taken, not copied: the seeds are dead weight once in S.
+    for (const auto &seed : future.takeColdSeeds())
+        detMiss[seed.disk].insert(TimedIndex{seed.idx, seed.time});
 }
 
-template <typename F, typename Store>
-void
-BasicOpgPolicy<F, Store>::prepare(const std::vector<BlockAccess> &accs)
-{
-    if constexpr (F::kStreaming) {
-        (void)accs;
-        PACACHE_FATAL("windowed OPG cannot materialize an access "
-                      "stream; feed it via prepareWindowed()");
-    } else {
-        accesses = &accs;
-        future = F::build(accs);
-
-        // One pass over the 40-byte records: disk count, trace end,
-        // and the cold-miss indices (each block's first reference)
-        // that seed S. The per-disk inserts are deferred until the
-        // disk count is known; cold[] holds one entry per unique
-        // block.
-        std::size_t num_disks = 1;
-        Time last = 0;
-        std::vector<std::pair<DiskId, std::size_t>> cold;
-        for (std::size_t i = 0; i < accs.size(); ++i) {
-            const auto &a = accs[i];
-            num_disks =
-                std::max<std::size_t>(num_disks, a.block.disk + 1);
-            last = std::max(last, a.time);
-            if (future.isFirstReference(i))
-                cold.emplace_back(a.block.disk, i);
-        }
-        resetOracle(num_disks, last);
-        // S starts as the set of all cold misses (first references).
-        for (const auto &[disk, i] : cold)
-            detMiss[disk].insert(TimedIndex{i, accs[i].time});
-        ready = true;
-    }
-}
-
-template <typename F, typename Store>
-void
-BasicOpgPolicy<F, Store>::prepareWindowed(F &&fut)
-{
-    if constexpr (!F::kStreaming) {
-        (void)fut;
-        PACACHE_FATAL("prepareWindowed on the materialized oracle; "
-                      "use prepare()");
-    } else {
-        PACACHE_ASSERT(fut.built(),
-                       "prepareWindowed requires a built future");
-        future = std::move(fut);
-        accesses = nullptr;
-        resetOracle(future.numDisks(), future.endTime());
-        // Taken, not copied: the seeds are dead weight once in S.
-        for (const auto &seed : future.takeColdSeeds())
-            detMiss[seed.disk].insert(TimedIndex{seed.idx, seed.time});
-        ready = true;
-    }
-}
-
-template <typename F, typename Store>
-TimedIndex
-BasicOpgPolicy<F, Store>::nextUse(std::size_t idx)
-{
-    TimedIndex next{0, 0};
-    if constexpr (F::kStreaming) {
-        next.idx = future.nextUse(idx, next.time);
-    } else {
-        next.idx = future.nextUse(idx);
-        if (next.idx != F::kNever)
-            next.time = (*accesses)[next.idx].time;
-    }
-    return next;
-}
-
-template <typename F, typename Store>
+template <typename Store>
 Energy
-BasicOpgPolicy<F, Store>::computePenalty(DiskId disk,
-                                         TimedIndex next) const
+BasicOpgPolicy<Store>::computePenalty(DiskId disk,
+                                      TimedIndex next) const
 {
-    if (next.idx == F::kNever)
+    if (next.idx == WindowedFuture::kNever)
         return 0.0; // never re-referenced: eviction costs nothing
 
     const auto nb = detMiss[disk].neighbors(next);
@@ -148,10 +94,10 @@ BasicOpgPolicy<F, Store>::computePenalty(DiskId disk,
     return std::max<Energy>(penalty, 0.0);
 }
 
-template <typename F, typename Store>
+template <typename Store>
 void
-BasicOpgPolicy<F, Store>::insertResident(const BlockId &block,
-                                         TimedIndex next)
+BasicOpgPolicy<Store>::insertResident(const BlockId &block,
+                                      TimedIndex next)
 {
     const Energy penalty =
         std::max(computePenalty(block.disk, next), theta);
@@ -159,19 +105,19 @@ BasicOpgPolicy<F, Store>::insertResident(const BlockId &block,
         evictOrder.push(EvictKey{penalty, next.idx, block.packed()});
     const bool inserted = handleOf.emplace(block.packed(), h).second;
     PACACHE_ASSERT(inserted, "OPG double insert of resident block");
-    if (next.idx != F::kNever) {
+    if (next.idx != WindowedFuture::kNever) {
         const bool fresh = residentByNext[block.disk].insert(
             next.idx, Resident{h, next.time});
         PACACHE_ASSERT(fresh, "OPG next-use index collision");
     }
 }
 
-template <typename F, typename Store>
+template <typename Store>
 TimedIndex
-BasicOpgPolicy<F, Store>::unindexNext(DiskId disk, std::size_t next_idx)
+BasicOpgPolicy<Store>::unindexNext(DiskId disk, std::size_t next_idx)
 {
     TimedIndex next{next_idx, 0};
-    if (next_idx != F::kNever) {
+    if (next_idx != WindowedFuture::kNever) {
         Resident r{};
         const bool erased = residentByNext[disk].take(next_idx, r);
         PACACHE_ASSERT(erased, "OPG residentByNext out of sync");
@@ -180,18 +126,18 @@ BasicOpgPolicy<F, Store>::unindexNext(DiskId disk, std::size_t next_idx)
     return next;
 }
 
-template <typename F, typename Store>
+template <typename Store>
 void
-BasicOpgPolicy<F, Store>::repriceGap(DiskId disk, TimedIndex lo,
-                                     bool has_lo, TimedIndex hi,
-                                     bool has_hi)
+BasicOpgPolicy<Store>::repriceGap(DiskId disk, TimedIndex lo,
+                                  bool has_lo, TimedIndex hi,
+                                  bool has_hi)
 {
     // Every resident with next access inside (lo, hi) shares the same
     // leader (lo) and follower (hi) — no per-block detMiss queries.
     const Time t_lo = has_lo ? lo.time : 0;
     const Time t_hi = has_hi ? hi.time : 0;
     const std::size_t lo_key = has_lo ? lo.idx : 0;
-    const std::size_t hi_key = has_hi ? hi.idx : F::kNever;
+    const std::size_t hi_key = has_hi ? hi.idx : WindowedFuture::kNever;
     // A missing end always prices as the cached E(bigTime), exactly
     // what computePenalty substitutes. The whole-gap term is NOT
     // hoisted as E(t_hi - t_lo) even though l + f is mathematically
@@ -218,9 +164,9 @@ BasicOpgPolicy<F, Store>::repriceGap(DiskId disk, TimedIndex lo,
         });
 }
 
-template <typename F, typename Store>
+template <typename Store>
 void
-BasicOpgPolicy<F, Store>::detInsert(DiskId disk, TimedIndex next)
+BasicOpgPolicy<Store>::detInsert(DiskId disk, TimedIndex next)
 {
     typename Store::DetSet::Neighbors nb;
     const bool fresh = detMiss[disk].insertWithNeighbors(next, nb);
@@ -231,9 +177,9 @@ BasicOpgPolicy<F, Store>::detInsert(DiskId disk, TimedIndex next)
     repriceGap(disk, next, true, nb.succ, nb.hasSucc);
 }
 
-template <typename F, typename Store>
+template <typename Store>
 void
-BasicOpgPolicy<F, Store>::detErase(DiskId disk, std::size_t idx)
+BasicOpgPolicy<Store>::detErase(DiskId disk, std::size_t idx)
 {
     typename Store::DetSet::Neighbors nb;
     const bool was =
@@ -243,23 +189,24 @@ BasicOpgPolicy<F, Store>::detErase(DiskId disk, std::size_t idx)
     repriceGap(disk, nb.pred, nb.hasPred, nb.succ, nb.hasSucc);
 }
 
-template <typename F, typename Store>
+template <typename Store>
 void
-BasicOpgPolicy<F, Store>::beforeMiss(const BlockId &block, Time,
-                              std::size_t idx)
+BasicOpgPolicy<Store>::beforeMiss(const BlockId &block, Time,
+                                  std::size_t idx)
 {
     // The access happening now is, by definition, a deterministic
     // miss; it leaves S.
     detErase(block.disk, idx);
 }
 
-template <typename F, typename Store>
+template <typename Store>
 void
-BasicOpgPolicy<F, Store>::onAccess(const BlockId &block, Time,
-                            std::size_t idx, bool hit)
+BasicOpgPolicy<Store>::onAccess(const BlockId &block, Time,
+                                std::size_t idx, bool hit)
 {
-    PACACHE_ASSERT(ready, "OPG requires prepare() before use");
-    const TimedIndex next = nextUse(idx);
+    PACACHE_ASSERT(future.built(), "OPG requires prepare() before use");
+    TimedIndex next{0, 0};
+    next.idx = future.nextUse(idx, next.time);
     if (!hit) {
         insertResident(block, next);
         return;
@@ -278,16 +225,16 @@ BasicOpgPolicy<F, Store>::onAccess(const BlockId &block, Time,
         std::max(computePenalty(block.disk, next), theta);
     evictOrder.update(r.handle,
                       EvictKey{penalty, next.idx, block.packed()});
-    if (next.idx != F::kNever) {
+    if (next.idx != WindowedFuture::kNever) {
         const bool fresh = residentByNext[block.disk].insert(
             next.idx, Resident{r.handle, next.time});
         PACACHE_ASSERT(fresh, "OPG next-use index collision");
     }
 }
 
-template <typename F, typename Store>
+template <typename Store>
 void
-BasicOpgPolicy<F, Store>::onRemove(const BlockId &block)
+BasicOpgPolicy<Store>::onRemove(const BlockId &block)
 {
     // External removal behaves like an eviction: the block's next
     // reference becomes a deterministic miss.
@@ -298,13 +245,13 @@ BasicOpgPolicy<F, Store>::onRemove(const BlockId &block)
     const TimedIndex next =
         unindexNext(block.disk, evictOrder.key(h).nextIdx);
     evictOrder.erase(h);
-    if (next.idx != F::kNever)
+    if (next.idx != WindowedFuture::kNever)
         detInsert(block.disk, next);
 }
 
-template <typename F, typename Store>
+template <typename Store>
 BlockId
-BasicOpgPolicy<F, Store>::evict(Time, std::size_t)
+BasicOpgPolicy<Store>::evict(Time, std::size_t)
 {
     PACACHE_ASSERT(!evictOrder.empty(), "OPG evict on empty cache");
     // The victim is the heap top: no handle lookup needed, and pop()
@@ -316,30 +263,30 @@ BasicOpgPolicy<F, Store>::evict(Time, std::size_t)
     PACACHE_ASSERT(known, "OPG evicting unknown block");
     const TimedIndex next = unindexNext(victim.disk, key.nextIdx);
     evictOrder.pop();
-    if (next.idx != F::kNever)
+    if (next.idx != WindowedFuture::kNever)
         detInsert(victim.disk, next);
     return victim;
 }
 
-template <typename F, typename Store>
+template <typename Store>
 Energy
-BasicOpgPolicy<F, Store>::penaltyOf(const BlockId &block) const
+BasicOpgPolicy<Store>::penaltyOf(const BlockId &block) const
 {
     const Handle *hp = handleOf.find(block.packed());
     PACACHE_ASSERT(hp, "penaltyOf unknown block");
     return evictOrder.key(*hp).penalty;
 }
 
-template <typename F, typename Store>
+template <typename Store>
 std::size_t
-BasicOpgPolicy<F, Store>::deterministicMissCount(DiskId disk) const
+BasicOpgPolicy<Store>::deterministicMissCount(DiskId disk) const
 {
     return disk < detMiss.size() ? detMiss[disk].size() : 0;
 }
 
-template <typename F, typename Store>
+template <typename Store>
 void
-BasicOpgPolicy<F, Store>::validateInternalState(bool full) const
+BasicOpgPolicy<Store>::validateInternalState(bool full) const
 {
     // Cheap size-drift invariants, always on.
     PACACHE_ASSERT(evictOrder.size() == handleOf.size(),
@@ -354,8 +301,8 @@ BasicOpgPolicy<F, Store>::validateInternalState(bool full) const
 
     // Full cross-check: recompute every penalty from scratch and
     // verify every index entry against the incremental bookkeeping.
-    // The materialized oracle also checks every carried time against
-    // the access records.
+    // An oracle prepared on an access vector also checks every
+    // carried time against its records.
     const auto checkTime = [&](std::size_t idx, Time t) {
         PACACHE_ASSERT(!accesses || (*accesses)[idx].time == t,
                        "carried time of index ", idx, " is stale");
@@ -372,7 +319,7 @@ BasicOpgPolicy<F, Store>::validateInternalState(bool full) const
                        "victim-heap handle points at wrong block");
         const BlockId block = BlockId::fromPacked(packed);
         TimedIndex next{key.nextIdx, 0};
-        if (key.nextIdx != F::kNever) {
+        if (key.nextIdx != WindowedFuture::kNever) {
             ++finite;
             // Copy out at once: a spilled find() pointer dies with
             // the next pool operation.
@@ -394,9 +341,7 @@ BasicOpgPolicy<F, Store>::validateInternalState(bool full) const
                    "next-use index holds stale entries");
 }
 
-template class BasicOpgPolicy<FutureKnowledge>;
-template class BasicOpgPolicy<WindowedFuture>;
-template class BasicOpgPolicy<FutureKnowledge, SpilledOracleStore>;
-template class BasicOpgPolicy<WindowedFuture, SpilledOracleStore>;
+template class BasicOpgPolicy<InMemoryOracleStore>;
+template class BasicOpgPolicy<SpilledOracleStore>;
 
 } // namespace pacache

@@ -49,24 +49,23 @@
  *    (flat line-table min-scan for Oracle, closed-form segment table
  *    for Practical), bit-identical to the legacy per-call scans.
  *
- * The policy is a template over its future-knowledge provider F:
- * FutureKnowledge (materialized arrays; OpgPolicy, the classic
- * fits-in-RAM fast path) or WindowedFuture (exact out-of-core
- * next-use streaming over a .pct sidecar; WindowedOpgPolicy, fed by
- * prepareWindowed() instead of prepare()). All instantiations live
- * in opg.cc — the replay loops are identical; only where a next
- * use's time comes from differs (its BlockAccess record, or the
- * windowed sidecar entry that names the next use).
+ * Future knowledge is one WindowedFuture (cache/future_window.hh)
+ * whatever the trace's size: prepare() builds it in memory over the
+ * expanded access stream, prepareWindowed() adopts one built out of
+ * core over a .pct file. Each next use arrives with its arrival time
+ * and in consumption order, so the replay loop is the same for both.
  *
- * A second template axis, Store, picks where the oracle's ordered
+ * The template axis, Store, picks where the oracle's ordered
  * state lives. InMemoryOracleStore (the default) keeps the per-disk
  * deterministic-miss sets and next-use indexes in plain OrderedSets
  * — O(unique blocks) RAM, the historical behavior. SpilledOracleStore
  * swaps both for SpillableOrderedSets sharing one SpillPool sized by
  * the constructor's mem_budget: pages beyond the budget overflow to
  * an unlinked spill file and fault back on touch. Spilling moves
- * bytes, never values, so every instantiation replays bit-identically
+ * bytes, never values, so both instantiations replay bit-identically
  * — evictions, counters, and energy all match the in-memory oracle.
+ * The in-memory store stays for its smaller peak RSS (EXPERIMENTS.md,
+ * "One future stream for the oracles").
  */
 
 #ifndef PACACHE_CORE_OPG_HH
@@ -126,8 +125,8 @@ struct SpilledOracleStore
     using Map = SpillableOrderedSet<std::size_t, V>;
 };
 
-/** The off-line power-aware greedy policy over future provider F. */
-template <typename F, typename Store = InMemoryOracleStore>
+/** The off-line power-aware greedy policy over oracle store Store. */
+template <typename Store = InMemoryOracleStore>
 class BasicOpgPolicy : public ReplacementPolicy
 {
   public:
@@ -144,14 +143,17 @@ class BasicOpgPolicy : public ReplacementPolicy
 
     const char *name() const override { return "OPG"; }
 
+    /**
+     * Build the future in memory over @p accesses; the vector must
+     * outlive the run only for full validateInternalState() checks.
+     */
     void prepare(const std::vector<BlockAccess> &accesses) override;
 
     /**
-     * Streaming counterpart of prepare(): adopt an already-built
-     * windowed future (F = WindowedFuture only) whose cold seeds
-     * initialize the deterministic-miss sets.
+     * Adopt an already-built future whose cold seeds initialize the
+     * deterministic-miss sets.
      */
-    void prepareWindowed(F &&fut);
+    void prepareWindowed(WindowedFuture &&fut) override;
 
     void beforeMiss(const BlockId &block, Time now,
                     std::size_t idx) override;
@@ -161,10 +163,7 @@ class BasicOpgPolicy : public ReplacementPolicy
     BlockId evict(Time now, std::size_t idx) override;
     bool supportsPrefetch() const override { return false; }
     bool isOffline() const override { return true; }
-    bool streamReady() const override
-    {
-        return F::kStreaming && ready;
-    }
+    bool streamReady() const override { return future.built(); }
 
     /** Energy penalty currently assigned to a resident block. */
     Energy penaltyOf(const BlockId &block) const;
@@ -232,11 +231,6 @@ class BasicOpgPolicy : public ReplacementPolicy
     }
     /** Penalty of a resident whose next access is @p next. */
     Energy computePenalty(DiskId disk, TimedIndex next) const;
-    /** Consume the next-use query for @p idx, with the next's time. */
-    TimedIndex nextUse(std::size_t idx);
-
-    /** Shared part of both prepares: sentinel and empty tables. */
-    void resetOracle(std::size_t num_disks, Time last);
 
     void insertResident(const BlockId &block, TimedIndex next);
     /** Unindex a resident's next access; @return it with its time. */
@@ -256,9 +250,9 @@ class BasicOpgPolicy : public ReplacementPolicy
     Energy theta;
     std::size_t memBudget; //!< SpillPool bytes (spilled store only)
 
+    /** prepare()'s stream, read only by full validation. */
     const std::vector<BlockAccess> *accesses = nullptr;
-    F future;
-    bool ready = false;
+    WindowedFuture future;
     Time bigTime = 0;  //!< stands in for "no leader/follower"
     Energy eBig = 0;   //!< cached idleEnergy(bigTime)
 
@@ -276,26 +270,21 @@ class BasicOpgPolicy : public ReplacementPolicy
     EvictHeap evictOrder;
 };
 
-// All instantiations are compiled once, in opg.cc, so the hot replay
-// loops keep the exact same single-TU codegen the non-template policy
-// had (micro_opg's 2.5x floor is sensitive to this).
-extern template class BasicOpgPolicy<FutureKnowledge>;
-extern template class BasicOpgPolicy<WindowedFuture>;
-extern template class BasicOpgPolicy<FutureKnowledge,
-                                     SpilledOracleStore>;
-extern template class BasicOpgPolicy<WindowedFuture,
-                                     SpilledOracleStore>;
+// Both instantiations are compiled once, in opg.cc, so the hot
+// replay loops keep single-TU codegen (micro_opg's 2.5x floor is
+// sensitive to this).
+extern template class BasicOpgPolicy<InMemoryOracleStore>;
+extern template class BasicOpgPolicy<SpilledOracleStore>;
 
-/** The classic materialized oracle. */
-using OpgPolicy = BasicOpgPolicy<FutureKnowledge>;
-/** The exact out-of-core oracle (streaming replay only). */
-using WindowedOpgPolicy = BasicOpgPolicy<WindowedFuture>;
-/** The materialized oracle with budgeted (spillable) state. */
-using SpilledOpgPolicy =
-    BasicOpgPolicy<FutureKnowledge, SpilledOracleStore>;
-/** The out-of-core oracle with budgeted (spillable) state. */
-using SpilledWindowedOpgPolicy =
-    BasicOpgPolicy<WindowedFuture, SpilledOracleStore>;
+/** The oracle with its ordered state in RAM. */
+using OpgPolicy = BasicOpgPolicy<InMemoryOracleStore>;
+/** The oracle with budgeted (spillable) state. */
+using SpilledOpgPolicy = BasicOpgPolicy<SpilledOracleStore>;
+/**
+ * SpilledOpgPolicy's older name, kept only because the frozen
+ * benchmark harness (perfbench/src/sharded_wtdu.cc) uses it.
+ */
+using SpilledWindowedOpgPolicy = SpilledOpgPolicy;
 
 } // namespace pacache
 

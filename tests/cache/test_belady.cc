@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "cache/belady.hh"
 #include "cache/cache.hh"
 #include "cache/lru.hh"
@@ -62,6 +65,23 @@ TEST(BeladyTest, RequiresPrepare)
 {
     BeladyPolicy p;
     EXPECT_ANY_THROW(p.onAccess(BlockId{0, 1}, 0, 0, false));
+}
+
+TEST(BeladyTest, OutOfOrderAccessAfterPreparePanics)
+{
+    // prepare() streams its future in consumption order, so an access
+    // that skips ahead is refused instead of reading another entry.
+    const auto accs = stream({1, 2, 1});
+    BeladyPolicy p;
+    p.prepare(accs);
+    try {
+        p.onAccess(accs[1].block, accs[1].time, 1, false);
+        FAIL() << "expected a panic";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find("consumed out of order"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(BeladyTest, NeverWorseThanLruOnRandomTraces)

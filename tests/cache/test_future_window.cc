@@ -7,7 +7,8 @@
  * smaller than one multi-block request. Every cold seed and every
  * timed next-use query must also report the exact arrival time of
  * the index it names, since OPG prices idle periods from those times
- * alone.
+ * alone. The in-memory build (over an expanded access vector) must
+ * produce the very same stream as the .pct build.
  */
 
 #include <gtest/gtest.h>
@@ -72,10 +73,12 @@ writeTracePct(const Trace &t, const std::string &name)
  * and compare every next-use index against the materialized
  * reference. @p timed consumes through the timed nextUse() overload
  * (OPG's) and checks every reported time against the access records;
- * untimed consumes through the index-only one (Belady's).
+ * untimed consumes through the index-only one (Belady's). A @p twin
+ * is consumed in lockstep and must match @p fut field for field.
  */
 void
-expectMatchesReference(const Trace &t, WindowedFuture &fut, bool timed)
+expectMatchesReference(const Trace &t, WindowedFuture &fut, bool timed,
+                       WindowedFuture *twin = nullptr)
 {
     const std::vector<BlockAccess> accesses = expandTrace(t);
     const FutureKnowledge ref = FutureKnowledge::build(accesses);
@@ -99,6 +102,21 @@ expectMatchesReference(const Trace &t, WindowedFuture &fut, bool timed)
     }
     EXPECT_EQ(seed_at, fut.coldSeeds().size());
 
+    if (twin) {
+        ASSERT_TRUE(twin->built());
+        ASSERT_EQ(twin->size(), fut.size());
+        EXPECT_EQ(twin->numDisks(), fut.numDisks());
+        EXPECT_EQ(twin->endTime(), fut.endTime());
+        ASSERT_EQ(twin->coldSeeds().size(), fut.coldSeeds().size());
+        for (std::size_t k = 0; k < fut.coldSeeds().size(); ++k) {
+            const WindowedFuture::ColdSeed &a = fut.coldSeeds()[k];
+            const WindowedFuture::ColdSeed &b = twin->coldSeeds()[k];
+            EXPECT_EQ(b.idx, a.idx) << "seed " << k;
+            EXPECT_EQ(b.disk, a.disk) << "seed " << k;
+            EXPECT_EQ(b.time, a.time) << "seed " << k;
+        }
+    }
+
     std::size_t timed_nexts = 0;
     for (std::size_t i = 0; i < ref.size(); ++i) {
         if (!timed) {
@@ -108,6 +126,11 @@ expectMatchesReference(const Trace &t, WindowedFuture &fut, bool timed)
         Time time = -1;
         const std::size_t next = fut.nextUse(i, time);
         EXPECT_EQ(next, ref.nextUse(i)) << "idx " << i;
+        if (twin) {
+            Time twin_time = -1;
+            EXPECT_EQ(twin->nextUse(i, twin_time), next) << "idx " << i;
+            EXPECT_EQ(twin_time, time) << "idx " << i;
+        }
         if (next == WindowedFuture::kNever)
             continue;
         EXPECT_EQ(time, accesses[next].time) << "successor of " << i;
@@ -132,8 +155,9 @@ TEST(WindowedFuture, ExactForEveryWindowAndChunkSize)
         opts.windowEntries = w;
         opts.chunkAccesses = chunk;
         WindowedFuture fut(pct, opts);
+        WindowedFuture mem(expandTrace(t));
         SCOPED_TRACE("window " + std::to_string(w));
-        expectMatchesReference(t, fut, /*timed=*/true);
+        expectMatchesReference(t, fut, /*timed=*/true, &mem);
     }
 }
 
@@ -149,8 +173,9 @@ TEST(WindowedFuture, ChunkBoundariesInsideMultiBlockRequests)
         opts.windowEntries = 4;
         opts.chunkAccesses = chunk;
         WindowedFuture fut(pct, opts);
+        WindowedFuture mem(expandTrace(t));
         SCOPED_TRACE("chunk " + std::to_string(chunk));
-        expectMatchesReference(t, fut, /*timed=*/true);
+        expectMatchesReference(t, fut, /*timed=*/true, &mem);
     }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "cache/cache.hh"
 #include "core/opg.hh"
 
@@ -245,6 +248,24 @@ TEST(Opg, RemoveBehavesLikeEviction)
     const std::size_t before = p.deterministicMissCount(0);
     p.onRemove(accs[0].block);
     EXPECT_EQ(p.deterministicMissCount(0), before + 1);
+}
+
+TEST(Opg, OutOfOrderAccessAfterPreparePanics)
+{
+    // prepare() streams its future in consumption order, so an access
+    // that skips ahead is refused instead of reading another entry.
+    const auto accs = stream({{0, 1}, {1, 2}, {2, 1}});
+    const PowerModel pm;
+    OpgPolicy p(pm, DpmKind::Oracle);
+    p.prepare(accs);
+    try {
+        p.onAccess(accs[1].block, accs[1].time, 1, false);
+        FAIL() << "expected a panic";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find("consumed out of order"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace

@@ -256,6 +256,21 @@ step "trace ingestion smoke run (sanitized binaries)"
     > "$obs_dir/sim_stream.txt"
 cmp "$obs_dir/sim_text.txt" "$obs_dir/sim_pct.txt"
 cmp "$obs_dir/sim_text.txt" "$obs_dir/sim_stream.txt"
+# The off-line oracles read one future type with two builders: the
+# materialized run builds it in memory, the windowed run out of core
+# over the .pct file (small window and chunks, so both are crossed
+# many times). Reports must match, with and without an OPG budget.
+for oracle in "opg" "belady" "opg --oracle-mem-budget 1"; do
+    # $oracle is split into words on purpose: it carries the flags.
+    "$root/build-asan/tools/pacache_sim" \
+        --trace "$obs_dir/w.pct" --policy $oracle \
+        > "$obs_dir/sim_oracle.txt"
+    "$root/build-asan/tools/pacache_sim" \
+        --trace "$obs_dir/w.pct" --policy $oracle \
+        --stream --window 64 --window-chunk 100 \
+        > "$obs_dir/sim_oracle_windowed.txt"
+    cmp "$obs_dir/sim_oracle.txt" "$obs_dir/sim_oracle_windowed.txt"
+done
 
 step "TSan build"
 cmake -B "$root/build-tsan" -S "$root" \

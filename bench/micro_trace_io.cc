@@ -7,7 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <string>
 
 #include "trace/synthetic.hh"
@@ -15,6 +14,7 @@
 #include "tracefmt/pct.hh"
 #include "tracefmt/text_source.hh"
 #include "tracefmt/trace_source.hh"
+#include "util/temp_file.hh"
 
 using namespace pacache;
 
@@ -35,21 +35,16 @@ class TraceFiles
         p.seed = 42;
         const Trace t = generateSynthetic(p);
 
-        txt = std::string(std::tmpnam(nullptr)) + ".trace.txt";
-        pct = std::string(std::tmpnam(nullptr)) + ".trace.pct";
         writeTraceFile(txt, t);
         tracefmt::MemorySource src(t);
         tracefmt::writePct(pct, src);
     }
 
-    ~TraceFiles()
-    {
-        std::remove(txt.c_str());
-        std::remove(pct.c_str());
-    }
-
-    std::string txt;
-    std::string pct;
+    // Created race-free (mkstemps), removed at process exit.
+    TempFile txtFile{"micro_trace_io", ".trace.txt"};
+    TempFile pctFile{"micro_trace_io", ".trace.pct"};
+    const std::string &txt = txtFile.path();
+    const std::string &pct = pctFile.path();
 };
 
 const TraceFiles &

@@ -10,7 +10,6 @@
  *   ./build/examples/streaming_sim
  */
 
-#include <cstdio>
 #include <iostream>
 #include <string>
 
@@ -21,6 +20,7 @@
 #include "tracefmt/pct.hh"
 #include "tracefmt/sink.hh"
 #include "util/table.hh"
+#include "util/temp_file.hh"
 
 using namespace pacache;
 
@@ -34,14 +34,18 @@ main()
     params.writeRatio = 0.25;
     const Trace trace = generateSynthetic(params);
 
-    const std::string txt = std::string(std::tmpnam(nullptr)) + ".txt";
+    // Both files are created race-free (mkstemps) and removed when
+    // main returns.
+    const TempFile txtFile("streaming_sim", ".txt");
+    const std::string &txt = txtFile.path();
     writeTraceFile(txt, trace);
 
     // 2. Convert it to .pct: one streaming pass, constant memory.
     //    The binary header records count/disks/end-time, so readers
     //    get exact hints without scanning, and an FNV-1a checksum
     //    guards the record bytes.
-    const std::string pct = std::string(std::tmpnam(nullptr)) + ".pct";
+    const TempFile pctFile("streaming_sim", ".pct");
+    const std::string &pct = pctFile.path();
     {
         const auto src = tracefmt::openTraceSource(txt);
         const auto sink = tracefmt::openTraceSink(pct);
@@ -85,8 +89,5 @@ main()
     std::cout << "\nall three rows are identical by construction: the "
                  "streaming\npaths replay the exact same access "
                  "sequence.\n";
-
-    std::remove(txt.c_str());
-    std::remove(pct.c_str());
     return 0;
 }

@@ -130,11 +130,8 @@ makeReplacementPolicy(const ExperimentConfig &cfg, const PowerModel &pm,
       case PolicyKind::Belady:
         return std::make_unique<BeladyPolicy>();
       case PolicyKind::OPG:
-        if (cfg.oracleMemBudget > 0) {
-            return std::make_unique<SpilledOpgPolicy>(
-                pm, pricing, theta, cfg.oracleMemBudget);
-        }
-        return std::make_unique<OpgPolicy>(pm, pricing, theta);
+        return std::make_unique<OpgPolicy>(pm, pricing, theta,
+                                           cfg.oracleMemBudget);
       case PolicyKind::PALRU:
         PACACHE_ASSERT(classifier, "PA-LRU needs a classifier");
         return std::make_unique<PaLruPolicy>(*classifier);

@@ -89,13 +89,13 @@ struct ExperimentConfig
 
     /**
      * Byte budget for the oracle's in-RAM replay state (OPG only).
-     * 0 = unbounded (the historical in-memory containers). > 0 runs
-     * the spillable oracle tier: the whole budget bounds the
-     * SpillPool behind the deterministic-miss sets and next-use
-     * indexes (which carry their arrival times), with overflow pages
-     * spilled to unlinked temporary files. Results are
-     * bit-identical to the unbounded path for any value. Belady keeps
-     * O(capacity) state and ignores the budget.
+     * The budget bounds the SpillPool behind the deterministic-miss
+     * sets and next-use indexes (which carry their arrival times),
+     * with overflow pages spilled to an unlinked temporary file.
+     * 0 = unbounded: the same containers under a pool that never
+     * spills and never opens the file. Results are bit-identical for
+     * any value. Belady keeps O(capacity) state and ignores the
+     * budget.
      */
     std::size_t oracleMemBudget = 0;
 

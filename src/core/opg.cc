@@ -1,6 +1,7 @@
 #include "core/opg.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "util/logging.hh"
@@ -8,26 +9,23 @@
 namespace pacache
 {
 
-template <typename Store>
-BasicOpgPolicy<Store>::BasicOpgPolicy(const PowerModel &pm_,
-                                      DpmKind kind, Energy theta_,
-                                      std::size_t mem_budget)
-    : pm(&pm_), dpmKind(kind), theta(theta_), memBudget(mem_budget)
+OpgPolicy::OpgPolicy(const PowerModel &pm_, DpmKind kind,
+                     Energy theta_, std::size_t mem_budget)
+    : pm(&pm_), dpmKind(kind), theta(theta_),
+      memBudget(mem_budget > 0 ? mem_budget : SIZE_MAX)
 {
     PACACHE_ASSERT(theta >= 0, "theta must be non-negative");
 }
 
-template <typename Store>
 void
-BasicOpgPolicy<Store>::prepare(const std::vector<BlockAccess> &accs)
+OpgPolicy::prepare(const std::vector<BlockAccess> &accs)
 {
     prepareWindowed(WindowedFuture(accs));
     accesses = &accs;
 }
 
-template <typename Store>
 void
-BasicOpgPolicy<Store>::prepareWindowed(WindowedFuture &&fut)
+OpgPolicy::prepareWindowed(WindowedFuture &&fut)
 {
     PACACHE_ASSERT(fut.built(), "prepareWindowed requires a built future");
     future = std::move(fut);
@@ -43,24 +41,19 @@ BasicOpgPolicy<Store>::prepareWindowed(WindowedFuture &&fut)
     eBig = idleEnergy(bigTime);
 
     const std::size_t num_disks = future.numDisks();
-    if constexpr (Store::kSpilled) {
-        // Spillable sets hold pool-registered pages: destroy them
-        // against the old pool before replacing it, then attach the
-        // fresh ones (moves only happen while empty and unattached,
-        // so the resize from empty is safe).
-        detMiss.clear();
-        residentByNext.clear();
-        spillPool = std::make_unique<SpillPool>(memBudget);
-        detMiss.resize(num_disks);
-        residentByNext.resize(num_disks);
-        for (auto &s : detMiss)
-            s.attach(*spillPool);
-        for (auto &s : residentByNext)
-            s.attach(*spillPool);
-    } else {
-        detMiss.assign(num_disks, {});
-        residentByNext.assign(num_disks, {});
-    }
+    // The sets hold pool-registered pages: destroy them against the
+    // old pool before replacing it, then attach the fresh ones (moves
+    // only happen while empty and unattached, so the resize from
+    // empty is safe).
+    detMiss.clear();
+    residentByNext.clear();
+    spillPool = std::make_unique<SpillPool>(memBudget);
+    detMiss.resize(num_disks);
+    residentByNext.resize(num_disks);
+    for (auto &s : detMiss)
+        s.attach(*spillPool);
+    for (auto &s : residentByNext)
+        s.attach(*spillPool);
     handleOf.clear();
     evictOrder.clear();
 
@@ -70,9 +63,8 @@ BasicOpgPolicy<Store>::prepareWindowed(WindowedFuture &&fut)
         detMiss[seed.disk].insert(TimedIndex{seed.idx, seed.time});
 }
 
-template <typename Store>
 Energy
-BasicOpgPolicy<Store>::computePenalty(DiskId disk,
+OpgPolicy::computePenalty(DiskId disk,
                                       TimedIndex next) const
 {
     if (next.idx == WindowedFuture::kNever)
@@ -94,9 +86,8 @@ BasicOpgPolicy<Store>::computePenalty(DiskId disk,
     return std::max<Energy>(penalty, 0.0);
 }
 
-template <typename Store>
 void
-BasicOpgPolicy<Store>::insertResident(const BlockId &block,
+OpgPolicy::insertResident(const BlockId &block,
                                       TimedIndex next)
 {
     const Energy penalty =
@@ -112,9 +103,8 @@ BasicOpgPolicy<Store>::insertResident(const BlockId &block,
     }
 }
 
-template <typename Store>
 TimedIndex
-BasicOpgPolicy<Store>::unindexNext(DiskId disk, std::size_t next_idx)
+OpgPolicy::unindexNext(DiskId disk, std::size_t next_idx)
 {
     TimedIndex next{next_idx, 0};
     if (next_idx != WindowedFuture::kNever) {
@@ -126,9 +116,8 @@ BasicOpgPolicy<Store>::unindexNext(DiskId disk, std::size_t next_idx)
     return next;
 }
 
-template <typename Store>
 void
-BasicOpgPolicy<Store>::repriceGap(DiskId disk, TimedIndex lo,
+OpgPolicy::repriceGap(DiskId disk, TimedIndex lo,
                                   bool has_lo, TimedIndex hi,
                                   bool has_hi)
 {
@@ -164,11 +153,10 @@ BasicOpgPolicy<Store>::repriceGap(DiskId disk, TimedIndex lo,
         });
 }
 
-template <typename Store>
 void
-BasicOpgPolicy<Store>::detInsert(DiskId disk, TimedIndex next)
+OpgPolicy::detInsert(DiskId disk, TimedIndex next)
 {
-    typename Store::DetSet::Neighbors nb;
+    DetSet::Neighbors nb;
     const bool fresh = detMiss[disk].insertWithNeighbors(next, nb);
     PACACHE_ASSERT(fresh, "duplicate deterministic miss");
     // next split its gap in two: residents below it now follow it,
@@ -177,11 +165,10 @@ BasicOpgPolicy<Store>::detInsert(DiskId disk, TimedIndex next)
     repriceGap(disk, next, true, nb.succ, nb.hasSucc);
 }
 
-template <typename Store>
 void
-BasicOpgPolicy<Store>::detErase(DiskId disk, std::size_t idx)
+OpgPolicy::detErase(DiskId disk, std::size_t idx)
 {
-    typename Store::DetSet::Neighbors nb;
+    DetSet::Neighbors nb;
     const bool was =
         detMiss[disk].eraseWithNeighbors(TimedIndex{idx, 0}, nb);
     PACACHE_ASSERT(was, "miss not in deterministic-miss set");
@@ -189,9 +176,8 @@ BasicOpgPolicy<Store>::detErase(DiskId disk, std::size_t idx)
     repriceGap(disk, nb.pred, nb.hasPred, nb.succ, nb.hasSucc);
 }
 
-template <typename Store>
 void
-BasicOpgPolicy<Store>::beforeMiss(const BlockId &block, Time,
+OpgPolicy::beforeMiss(const BlockId &block, Time,
                                   std::size_t idx)
 {
     // The access happening now is, by definition, a deterministic
@@ -199,9 +185,8 @@ BasicOpgPolicy<Store>::beforeMiss(const BlockId &block, Time,
     detErase(block.disk, idx);
 }
 
-template <typename Store>
 void
-BasicOpgPolicy<Store>::onAccess(const BlockId &block, Time,
+OpgPolicy::onAccess(const BlockId &block, Time,
                                 std::size_t idx, bool hit)
 {
     PACACHE_ASSERT(future.built(), "OPG requires prepare() before use");
@@ -232,9 +217,8 @@ BasicOpgPolicy<Store>::onAccess(const BlockId &block, Time,
     }
 }
 
-template <typename Store>
 void
-BasicOpgPolicy<Store>::onRemove(const BlockId &block)
+OpgPolicy::onRemove(const BlockId &block)
 {
     // External removal behaves like an eviction: the block's next
     // reference becomes a deterministic miss.
@@ -249,9 +233,8 @@ BasicOpgPolicy<Store>::onRemove(const BlockId &block)
         detInsert(block.disk, next);
 }
 
-template <typename Store>
 BlockId
-BasicOpgPolicy<Store>::evict(Time, std::size_t)
+OpgPolicy::evict(Time, std::size_t)
 {
     PACACHE_ASSERT(!evictOrder.empty(), "OPG evict on empty cache");
     // The victim is the heap top: no handle lookup needed, and pop()
@@ -268,25 +251,22 @@ BasicOpgPolicy<Store>::evict(Time, std::size_t)
     return victim;
 }
 
-template <typename Store>
 Energy
-BasicOpgPolicy<Store>::penaltyOf(const BlockId &block) const
+OpgPolicy::penaltyOf(const BlockId &block) const
 {
     const Handle *hp = handleOf.find(block.packed());
     PACACHE_ASSERT(hp, "penaltyOf unknown block");
     return evictOrder.key(*hp).penalty;
 }
 
-template <typename Store>
 std::size_t
-BasicOpgPolicy<Store>::deterministicMissCount(DiskId disk) const
+OpgPolicy::deterministicMissCount(DiskId disk) const
 {
     return disk < detMiss.size() ? detMiss[disk].size() : 0;
 }
 
-template <typename Store>
 void
-BasicOpgPolicy<Store>::validateInternalState(bool full) const
+OpgPolicy::validateInternalState(bool full) const
 {
     // Cheap size-drift invariants, always on.
     PACACHE_ASSERT(evictOrder.size() == handleOf.size(),
@@ -340,8 +320,5 @@ BasicOpgPolicy<Store>::validateInternalState(bool full) const
     PACACHE_ASSERT(indexed == finite,
                    "next-use index holds stale entries");
 }
-
-template class BasicOpgPolicy<InMemoryOracleStore>;
-template class BasicOpgPolicy<SpilledOracleStore>;
 
 } // namespace pacache

@@ -34,14 +34,15 @@
  *    (a TimedIndex), so pricing never looks a time up: the time is
  *    read once, when the index is learned — from the next-use query
  *    or a cold seed — and travels inside the oracle state;
- *  - per disk, S is a chunked sorted-vector OrderedSet of
+ *  - per disk, S is a paged sorted-vector SpillableOrderedSet of
  *    TimedIndexes whose neighbors() query answers leader/follower
  *    (with their times) and membership in one locate;
  *  - resident blocks with a finite next access live in a per-disk
- *    OrderedSet map from next-access index to {victim-heap handle,
- *    next-access time}, so gap-scoped repricing is a contiguous range
- *    scan with no hash lookups (blocks that are never re-referenced
- *    have nothing to reprice and stay out of the index);
+ *    SpillableOrderedSet map from next-access index to {victim-heap
+ *    handle, next-access time}, so gap-scoped repricing is a
+ *    contiguous range scan with no hash lookups (blocks that are
+ *    never re-referenced have nothing to reprice and stay out of the
+ *    index);
  *  - the victim order is an addressable 4-ary IndexedHeap keyed by
  *    (penalty, furthest next access, block); repricing updates keys
  *    in place through stable handles;
@@ -55,17 +56,13 @@
  * core over a .pct file. Each next use arrives with its arrival time
  * and in consumption order, so the replay loop is the same for both.
  *
- * The template axis, Store, picks where the oracle's ordered
- * state lives. InMemoryOracleStore (the default) keeps the per-disk
- * deterministic-miss sets and next-use indexes in plain OrderedSets
- * — O(unique blocks) RAM, the historical behavior. SpilledOracleStore
- * swaps both for SpillableOrderedSets sharing one SpillPool sized by
- * the constructor's mem_budget: pages beyond the budget overflow to
- * an unlinked spill file and fault back on touch. Spilling moves
- * bytes, never values, so both instantiations replay bit-identically
- * — evictions, counters, and energy all match the in-memory oracle.
- * The in-memory store stays for its smaller peak RSS (EXPERIMENTS.md,
- * "One future stream for the oracles").
+ * All ordered oracle state — the per-disk deterministic-miss sets
+ * and next-use indexes — sits in SpillableOrderedSets attached to one
+ * SpillPool sized by the constructor's mem_budget (0 = unbounded).
+ * Under a budget, pages beyond it overflow to an unlinked spill file
+ * and fault back on touch; an unbounded pool never creates the file.
+ * Spilling moves bytes, never values, so the replay is bit-identical
+ * at every budget — evictions, counters and energy all match.
  */
 
 #ifndef PACACHE_CORE_OPG_HH
@@ -80,7 +77,6 @@
 #include "disk/power_model.hh"
 #include "util/flat_map.hh"
 #include "util/indexed_heap.hh"
-#include "util/ordered_set.hh"
 #include "util/spill_pool.hh"
 #include "util/spill_set.hh"
 
@@ -107,27 +103,8 @@ enum class DpmKind
     Practical, //!< threshold-based DPM energy
 };
 
-/** Oracle state in plain OrderedSets (O(unique blocks) RAM). */
-struct InMemoryOracleStore
-{
-    static constexpr bool kSpilled = false;
-    using DetSet = OrderedSet<TimedIndex>;
-    template <typename V>
-    using Map = OrderedSet<std::size_t, V>;
-};
-
-/** Oracle state in SpillableOrderedSets under one SpillPool. */
-struct SpilledOracleStore
-{
-    static constexpr bool kSpilled = true;
-    using DetSet = SpillableOrderedSet<TimedIndex>;
-    template <typename V>
-    using Map = SpillableOrderedSet<std::size_t, V>;
-};
-
-/** The off-line power-aware greedy policy over oracle store Store. */
-template <typename Store = InMemoryOracleStore>
-class BasicOpgPolicy : public ReplacementPolicy
+/** The off-line power-aware greedy policy. */
+class OpgPolicy : public ReplacementPolicy
 {
   public:
     /**
@@ -135,11 +112,10 @@ class BasicOpgPolicy : public ReplacementPolicy
      * @param kind        which DPM the disks run (prices E)
      * @param theta       penalty floor in Joules (0 = pure OPG)
      * @param mem_budget  SpillPool budget in bytes for the oracle's
-     *                    ordered state (SpilledOracleStore only;
-     *                    ignored by the in-memory store)
+     *                    ordered state (0 = unbounded)
      */
-    BasicOpgPolicy(const PowerModel &pm, DpmKind kind,
-                   Energy theta = 0, std::size_t mem_budget = 0);
+    OpgPolicy(const PowerModel &pm, DpmKind kind, Energy theta = 0,
+              std::size_t mem_budget = 0);
 
     const char *name() const override { return "OPG"; }
 
@@ -214,7 +190,7 @@ class BasicOpgPolicy : public ReplacementPolicy
     };
 
     using EvictHeap = IndexedHeap<EvictKey>;
-    using Handle = typename EvictHeap::Handle;
+    using Handle = EvictHeap::Handle;
 
     /** residentByNext payload: the heap entry and the next's time. */
     struct Resident
@@ -222,6 +198,9 @@ class BasicOpgPolicy : public ReplacementPolicy
         Handle handle;
         Time time; //!< arrival time of the indexing next access
     };
+
+    using DetSet = SpillableOrderedSet<TimedIndex>;
+    using NextIndex = SpillableOrderedSet<std::size_t, Resident>;
 
     Energy
     idleEnergy(Time t) const
@@ -248,7 +227,7 @@ class BasicOpgPolicy : public ReplacementPolicy
     const PowerModel *pm;
     DpmKind dpmKind;
     Energy theta;
-    std::size_t memBudget; //!< SpillPool bytes (spilled store only)
+    std::size_t memBudget; //!< SpillPool bytes (SIZE_MAX = unbounded)
 
     /** prepare()'s stream, read only by full validation. */
     const std::vector<BlockAccess> *accesses = nullptr;
@@ -262,29 +241,19 @@ class BasicOpgPolicy : public ReplacementPolicy
      * slots to the pool) must go first.
      */
     std::unique_ptr<SpillPool> spillPool;
-    std::vector<typename Store::DetSet> detMiss; //!< per-disk S
+    std::vector<DetSet> detMiss; //!< per-disk S
     /** Per disk: finite next-access index -> handle and time. */
-    std::vector<typename Store::template Map<Resident>> residentByNext;
+    std::vector<NextIndex> residentByNext;
     /** Packed 64-bit keys: 16-byte slots, one-word hash per probe. */
     FlatMap<std::uint64_t, Handle> handleOf;
     EvictHeap evictOrder;
 };
 
-// Both instantiations are compiled once, in opg.cc, so the hot
-// replay loops keep single-TU codegen (micro_opg's 2.5x floor is
-// sensitive to this).
-extern template class BasicOpgPolicy<InMemoryOracleStore>;
-extern template class BasicOpgPolicy<SpilledOracleStore>;
-
-/** The oracle with its ordered state in RAM. */
-using OpgPolicy = BasicOpgPolicy<InMemoryOracleStore>;
-/** The oracle with budgeted (spillable) state. */
-using SpilledOpgPolicy = BasicOpgPolicy<SpilledOracleStore>;
 /**
- * SpilledOpgPolicy's older name, kept only because the frozen
- * benchmark harness (perfbench/src/sharded_wtdu.cc) uses it.
+ * OpgPolicy's older name, kept only because the frozen benchmark
+ * harness (perfbench/src/sharded_wtdu.cc) uses it.
  */
-using SpilledWindowedOpgPolicy = SpilledOpgPolicy;
+using SpilledWindowedOpgPolicy = OpgPolicy;
 
 } // namespace pacache
 

@@ -356,9 +356,9 @@ propSpilledOracleEquivalence(const FuzzCase &c)
     // Spilling moves oracle state between RAM and the spill file but
     // never changes a value, so every budget — one byte (pages spill
     // the moment an operation releases them), a small fuzzed budget
-    // (steady churn), or SIZE_MAX (machinery engaged, never evicts)
-    // — must replay bit-identically to the unbounded in-memory
-    // oracle.  Belady ignores the budget and must be unaffected.
+    // (steady churn), or SIZE_MAX (what budget 0 means) — must
+    // replay bit-identically to the unbudgeted oracle.  Belady
+    // ignores the budget and must be unaffected.
     Rng rng(deriveSeed(c.seed, 0x5b111));
     ExperimentConfig cfg = experimentConfig(c);
     cfg.policy = rng.chance(0.8) ? PolicyKind::OPG : PolicyKind::Belady;
@@ -378,13 +378,13 @@ propSpilledOracleEquivalence(const FuzzCase &c)
         if (!diff.empty())
             return failMsg("budget=", budget, " materialized ",
                            policyKindName(cfg.policy),
-                           " diverges from unbounded in-memory: ",
+                           " diverges from unbudgeted: ",
                            diff);
     }
 
-    // The windowed oracle under a budget takes its times from the
-    // sidecar as it streams and spills them with the keys they ride
-    // on; fuzz the window geometry along with the budget.
+    // The windowed oracle under a budget spills the times with the
+    // keys they ride on; fuzz the window geometry along with the
+    // budget.
     ExperimentConfig wcfg = cfg;
     const std::size_t accesses =
         std::max<std::size_t>(c.trace.numBlockAccesses(), 1);
@@ -406,7 +406,7 @@ propSpilledOracleEquivalence(const FuzzCase &c)
                        " windowed (window=", wcfg.windowAccesses,
                        ", chunk=", wcfg.oracleChunkAccesses, ", ",
                        policyKindName(cfg.policy),
-                       ") diverges from unbounded in-memory: ", diff);
+                       ") diverges from unbudgeted: ", diff);
     return PropertyResult::ok();
 }
 
@@ -989,9 +989,9 @@ allProperties()
          "materialized oracle",
          propWindowedOracleEquivalence},
         {"spilled_oracle_equivalence",
-         "Replay with the spillable oracle store (materialized and "
+         "Replay under an oracle memory budget (materialized and "
          "windowed, budgets from one byte to SIZE_MAX) is "
-         "bit-identical to the unbounded in-memory oracle",
+         "bit-identical to the unbudgeted oracle",
          propSpilledOracleEquivalence},
         {"parallel_matches_serial",
          "runAll with --jobs N returns results identical to the "

@@ -1,22 +1,40 @@
 /**
  * @file
- * SpillableOrderedSet — an OrderedSet-shaped container whose pages
- * overflow to disk under a SpillPool byte budget (the bounded-memory
- * oracle tier).
+ * SpillableOrderedSet — a paged sorted-vector ordered set/map for the
+ * off-line oracle (OPG's deterministic-miss sets and its
+ * resident-by-next-access index) whose pages overflow to disk under a
+ * SpillPool byte budget.
  *
- * Layout mirrors OrderedSet: sorted fixed-capacity pages (kPageCap
- * keys), a contiguous always-resident index of page maxima for the
- * locate step, and a dead prefix per page so erase-at-minimum (OPG's
- * deterministic-miss retirement pattern) is an O(1) bump. The
- * difference is residency: page payloads live in reusable slabs
- * registered with a shared SpillPool; when the pool's budget
- * overflows, least-recently-touched pages are serialized into
- * fixed-size slots of the pool's unlinked spill file and dropped
- * from RAM, then faulted back (one pread) on the next touch.
+ * Oracle replay hammers these containers with three queries:
+ * predecessor/successor around a probe key (gap pricing), ordered
+ * range scans (gap-scoped repricing), and steady insert/erase churn.
+ * A node-based std::set answers each with O(log n) *dependent* cache
+ * misses; this container keeps elements in sorted pages of at most
+ * kPageCap contiguous keys instead:
+ *
+ *  - locate = one binary search over a contiguous, always-resident
+ *    index of page maxima + one binary search inside the page;
+ *  - insert/erase = a memmove of whichever side of the position is
+ *    shorter (each page keeps a dead prefix before `start`, so
+ *    erase-at-minimum — OPG's deterministic-miss retirement pattern
+ *    — is an O(1) bump);
+ *  - neighbors() answers predecessor, successor, and membership in a
+ *    single locate, the exact shape of OPG's penalty query.
+ *
+ * The optional Mapped parameter turns the set into an ordered map
+ * with a parallel value array per page; Mapped = void stores no
+ * values. Keys must be less-comparable and are kept unique.
+ *
+ * Residency: page payloads live in reusable slabs registered with a
+ * shared SpillPool; when the pool's budget overflows,
+ * least-recently-touched pages are serialized into fixed-size slots
+ * of the pool's unlinked spill file and dropped from RAM, then
+ * faulted back (one pread) on the next touch. A pool with an
+ * unbounded budget never spills and never creates the file.
  *
  * Exact by construction: spilling changes *where* a page's bytes
- * live, never what they are, so every query answers exactly what the
- * in-memory OrderedSet would — including neighbors() across page
+ * live, never what they are, so every query answers exactly what an
+ * unbounded pool's set would — including neighbors() across page
  * boundaries, which is answered from the always-resident per-page
  * [minKey, maxKey] metadata without faulting adjacent pages. Keys
  * and mapped values must be trivially copyable (they are memcpy'd
@@ -41,11 +59,19 @@
 #include <vector>
 
 #include "util/logging.hh"
-#include "util/ordered_set.hh"
 #include "util/spill_pool.hh"
 
 namespace pacache
 {
+
+namespace detail
+{
+/** Stand-in value type for the set form (Mapped = void). */
+struct NoMapped
+{
+    friend bool operator==(const NoMapped &, const NoMapped &) = default;
+};
+} // namespace detail
 
 /** Budget-spillable ordered set/map; see the file comment. */
 template <typename Key, typename Mapped = void>
@@ -447,7 +473,7 @@ class SpillableOrderedSet : public SpillClient
     }
 
   private:
-    /** Page split threshold: 256 keys, same as OrderedSet::kSplit. */
+    /** Page split threshold in live keys. */
     static constexpr std::size_t kPageCap = 256;
     static constexpr std::uint32_t kNone32 = ~std::uint32_t{0};
     static constexpr std::size_t kValBytes =
@@ -494,7 +520,12 @@ class SpillableOrderedSet : public SpillClient
         return const_cast<SpillableOrderedSet *>(this);
     }
 
-    /** Branchless binary search, same contract as OrderedSet's. */
+    /**
+     * Branchless binary search: each step halves the range with a
+     * conditional move instead of a 50/50-mispredicted compare.
+     * @return the first position in [first, first + n) whose key
+     * fails @p before(key).
+     */
     template <typename Before>
     static const Key *
     search(const Key *first, std::size_t n, Before before)
@@ -677,8 +708,8 @@ class SpillableOrderedSet : public SpillClient
         release(id);
     }
 
-    /** Same one-locate neighbor fill as OrderedSet, with cross-page
-     *  answers taken from resident metadata (no adjacent faults). */
+    /** One-locate neighbor fill; cross-page answers come from the
+     *  resident page metadata (no adjacent faults). */
     std::size_t
     fillNeighbors(std::size_t oi, std::uint32_t id, const Key &k,
                   Neighbors &nb)
@@ -746,10 +777,9 @@ class SpillableOrderedSet : public SpillClient
         --count;
         if (s.keys.size() - s.start == 1) {
             pool->remove(m.token);
-            s.keys.clear();
-            if constexpr (kHasMapped)
-                s.vals.clear();
-            s.start = 0;
+            // Release the arrays: a drained page has no refault to
+            // reuse them for (spillPage keeps a spilled page's).
+            s = Slab{};
             freeSlabs.push_back(m.slab);
             if (m.slot != SpillPool::kNoSlot)
                 pool->freeSlot(m.slot, slotBytes());

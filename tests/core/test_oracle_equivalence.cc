@@ -234,10 +234,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /**
- * The spillable oracle store must replay byte-identically to the
- * in-memory store at every budget — a 1-byte budget (pages spill the
- * moment an operation releases them), a mid budget (steady churn),
- * and SIZE_MAX (machinery engaged, never evicts). Spilling moves
+ * A budgeted oracle must replay byte-identically to the unbudgeted
+ * one at every budget — a 1-byte budget (pages spill the moment an
+ * operation releases them), a mid budget (steady churn), and
+ * SIZE_MAX (the unbudgeted pool, passed explicitly). Spilling moves
  * bytes, never values, so any divergence is a bug, not noise.
  */
 TEST(SpilledOpgEquivalence, ReplayMatchesInMemoryAtEveryBudget)
@@ -249,7 +249,7 @@ TEST(SpilledOpgEquivalence, ReplayMatchesInMemoryAtEveryBudget)
     for (const std::size_t budget :
          {std::size_t{1}, std::size_t{64} << 10,
           static_cast<std::size_t>(-1)}) {
-        SpilledOpgPolicy spilled(pm, DpmKind::Oracle, 0.0, budget);
+        OpgPolicy spilled(pm, DpmKind::Oracle, 0.0, budget);
         const auto got = replay(spilled, accesses, 96);
         expectIdentical(got, want);
         spilled.validateInternalState(/*full=*/true);
@@ -261,8 +261,8 @@ TEST(SpilledOpgEquivalence, PenaltiesMatchUnderTightBudget)
     const PowerModel pm;
     const auto accesses = syntheticStream(606);
     OpgPolicy plain(pm, DpmKind::Practical, 29.6);
-    SpilledOpgPolicy spilled(pm, DpmKind::Practical, 29.6,
-                             /*mem_budget=*/4096);
+    OpgPolicy spilled(pm, DpmKind::Practical, 29.6,
+                      /*mem_budget=*/4096);
     Cache plainCache(64, plain);
     Cache spilledCache(64, spilled);
     plain.prepare(accesses);

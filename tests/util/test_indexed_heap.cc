@@ -164,8 +164,9 @@ TEST(IndexedHeap, RandomizedDifferentialVsSet)
             heap.pop();
         }
         ASSERT_EQ(heap.size(), model.size());
-        if (!heap.empty())
+        if (!heap.empty()) {
             ASSERT_EQ(heap.top(), *model.begin());
+        }
         if (step % 500 == 0)
             heap.validate();
     }

@@ -5,8 +5,9 @@
 # exercising the parallel sweep runner.
 #
 # Test tiers (ctest labels): the Release build runs everything —
-# unit, property, integration, and fuzz-smoke (a short deterministic
-# pacache_fuzz campaign plus a replay of the committed corpus). The
+# unit, property, integration, examples (every examples/ program,
+# run once), and fuzz-smoke (a short deterministic pacache_fuzz
+# campaign plus a replay of the committed corpus). The
 # sanitizer builds exclude fuzz-smoke (-LE fuzz-smoke): the campaign
 # re-runs whole experiments hundreds of times, which is wasted time
 # under 10-20x sanitizer overhead; instead each sanitizer gets a

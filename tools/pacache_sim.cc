@@ -67,9 +67,9 @@ workload selection (one of):
   --oracle-mem-budget M  with opg: cap the oracle's in-RAM replay
                          state (deterministic-miss sets, next-use
                          indexes) at M MiB, spilling overflow pages
-                         to unlinked temporary files;
-                         results stay bit-identical to the unbounded
-                         oracle (0 = unbounded, the default)
+                         to unlinked temporary files; results are
+                         bit-identical at every budget (0 = unbounded,
+                         the default: nothing spills, no file opens)
   --shards N             partition the trace by disk (shard = disk id
                          mod N) and replay every shard on its own
                          simulation stack in parallel (requires

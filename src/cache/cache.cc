@@ -120,7 +120,7 @@ Cache::markDirty(const BlockId &block)
     flags->dirty = true;
     if (block.disk >= dirtyPerDisk.size())
         dirtyPerDisk.resize(block.disk + 1);
-    dirtyPerDisk[block.disk].insert(block.block);
+    dirtyPerDisk[block.disk].emplace(block.block, 0);
 }
 
 void
@@ -151,7 +151,7 @@ Cache::markLogged(const BlockId &block)
     flags->logged = true;
     if (block.disk >= loggedPerDisk.size())
         loggedPerDisk.resize(block.disk + 1);
-    loggedPerDisk[block.disk].insert(block.block);
+    loggedPerDisk[block.disk].emplace(block.block, 0);
 }
 
 void
@@ -177,8 +177,9 @@ Cache::dirtyBlocksOf(DiskId disk) const
     std::vector<BlockId> out;
     if (disk < dirtyPerDisk.size()) {
         out.reserve(dirtyPerDisk[disk].size());
-        for (BlockNum b : dirtyPerDisk[disk])
+        dirtyPerDisk[disk].forEach([&](BlockNum b, uint8_t) {
             out.push_back(BlockId{disk, b});
+        });
     }
     return out;
 }
@@ -189,8 +190,9 @@ Cache::loggedBlocksOf(DiskId disk) const
     std::vector<BlockId> out;
     if (disk < loggedPerDisk.size()) {
         out.reserve(loggedPerDisk[disk].size());
-        for (BlockNum b : loggedPerDisk[disk])
+        loggedPerDisk[disk].forEach([&](BlockNum b, uint8_t) {
             out.push_back(BlockId{disk, b});
+        });
     }
     return out;
 }

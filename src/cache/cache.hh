@@ -10,7 +10,6 @@
 #define PACACHE_CACHE_CACHE_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/policy.hh"
@@ -144,8 +143,15 @@ class Cache
      * probe hashes one word instead of a struct.
      */
     FlatMap<uint64_t, Flags> resident;
-    std::vector<std::unordered_set<BlockNum>> dirtyPerDisk;
-    std::vector<std::unordered_set<BlockNum>> loggedPerDisk;
+    /**
+     * Per-disk block sets (the mapped byte is unused): open
+     * addressing, so marking a block dirty or logged allocates
+     * nothing per block. Iteration order is arbitrary; the flush
+     * path sorts.
+     */
+    using BlockSet = FlatMap<BlockNum, uint8_t>;
+    std::vector<BlockSet> dirtyPerDisk;
+    std::vector<BlockSet> loggedPerDisk;
 
     /**
      * Exact cold-miss detection, probed once per miss. Block numbers

@@ -69,12 +69,22 @@ StorageSystem::init()
     const bool wants_activation_hook =
         cfg.writePolicy == WritePolicy::WriteBackEagerUpdate ||
         cfg.writePolicy == WritePolicy::WriteThroughDeferredUpdate;
-    if (wants_activation_hook) {
-        for (DiskId d = 0; d < disks.numDisks(); ++d) {
-            disks.disk(d).setOnActivated([this, d](Time now) {
-                onDiskActivated(d, now);
-            });
+    for (DiskId d = 0; d < disks.numDisks(); ++d) {
+        Disk &disk = disks.disk(d);
+        disk.setOnComplete([this, d](Time done, const DiskRequest &req) {
+            requestDone(d, done, req);
+        });
+        if (wants_activation_hook) {
+            disk.setOnActivated(
+                [this, d](Time now) { onDiskActivated(d, now); });
         }
+    }
+    if (logDisk) {
+        const DiskId d = logDisk->id();
+        logDisk->setOnComplete(
+            [this, d](Time done, const DiskRequest &req) {
+                requestDone(d, done, req);
+            });
     }
 }
 
@@ -351,10 +361,8 @@ StorageSystem::handleWrite(const BlockAccess &acc, std::size_t idx)
         req.numBlocks = 1;
         req.write = true;
         req.cause = WakeCause::DemandWrite; // log device never parks
-        req.onComplete = [this, now](Time done, const DiskRequest &) {
-            respStats.record(done - now);
-        };
-        logDisk->submit(std::move(req));
+        req.ackFrom = now;
+        logDisk->submit(req);
         break;
       }
     }
@@ -406,22 +414,23 @@ StorageSystem::submitDisk(DiskId disk, BlockNum block, uint32_t count,
     req.block = block;
     req.numBlocks = count;
     req.write = write;
+    req.track = track;
     req.cause = cause;
-    if (record_response || fault_id != 0 || track) {
-        const Time resp_from = ack_from >= 0 ? ack_from : arrival;
-        FaultInjector *fi = cfg.fault;
-        req.onComplete = [this, resp_from, record_response, fi,
-                          fault_id, track,
-                          disk](Time done, const DiskRequest &) {
-            if (record_response)
-                respStats.record(done - resp_from);
-            if (fault_id != 0)
-                fi->noteDataWriteDurable(fault_id);
-            if (track)
-                writeDurable(disk, done);
-        };
-    }
-    disks.submit(disk, std::move(req));
+    if (record_response)
+        req.ackFrom = ack_from >= 0 ? ack_from : arrival;
+    req.faultId = fault_id;
+    disks.submit(disk, req);
+}
+
+void
+StorageSystem::requestDone(DiskId disk, Time done, const DiskRequest &req)
+{
+    if (req.ackFrom >= 0)
+        respStats.record(done - req.ackFrom);
+    if (req.faultId != 0)
+        cfg.fault->noteDataWriteDurable(req.faultId);
+    if (req.track)
+        writeDurable(disk, done);
 }
 
 void

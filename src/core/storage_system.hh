@@ -225,6 +225,13 @@ class StorageSystem
                     bool write, bool record_response, Time arrival,
                     WakeCause cause, Time ack_from = -1.0);
 
+    /**
+     * Completion hook of every disk, the log device included: acks
+     * the waiting client, tells the fault injector the write is
+     * durable, and counts a tracked write off the retire barrier.
+     */
+    void requestDone(DiskId disk, Time done, const DiskRequest &req);
+
     /** Coalesce a block set into run-length requests and submit. */
     void flushBlocks(DiskId disk, std::vector<BlockId> blocks,
                      Time now, WakeCause cause);

@@ -107,26 +107,24 @@ Disk::startService(Time now)
     const Time seek = sm->seekTime(headPosition, req.block);
     const Time total = sm->serviceTimeAtSpeed(headPosition, req.block,
                                               req.numBlocks, speed);
-    const Energy energy =
-        sm->serviceEnergyAtSpeed(seek, total - seek, speed);
+    inflightTime = total;
+    inflightEnergy = sm->serviceEnergyAtSpeed(seek, total - seek, speed);
     headPosition = req.block + req.numBlocks - 1;
 
-    queue.schedule(now + total, [this, total, energy](Time t) {
-        stats.busyTime += total;
-        stats.serviceEnergy += energy;
-        onServiceDone(t);
-    });
+    queue.schedule(now + total, [this](Time t) { onServiceDone(t); });
 }
 
 void
 Disk::onServiceDone(Time now)
 {
+    stats.busyTime += inflightTime;
+    stats.serviceEnergy += inflightEnergy;
     ++stats.requests;
-    DiskRequest done = std::move(pending.front());
+    const DiskRequest done = pending.front();
     pending.pop_front();
     respStats.record(now - done.arrival);
-    if (done.onComplete)
-        done.onComplete(now, done);
+    if (onComplete)
+        onComplete(now, done);
 
     // The completion callback may have submitted more work; the queue
     // state decides what happens next.
@@ -182,16 +180,14 @@ Disk::onDemotionTimer(Time now, std::size_t target_mode)
         obs->diskPowerState(diskId, "spin-down", now);
     }
 
-    const Time dt = pm->mode(target_mode).spinDownTime -
-                    pm->mode(curMode).spinDownTime;
-    const Energy de = pm->mode(target_mode).spinDownEnergy -
-                      pm->mode(curMode).spinDownEnergy;
-    PACACHE_ASSERT(dt >= 0 && de >= 0, "demotion must deepen the mode");
+    inflightTime = pm->mode(target_mode).spinDownTime -
+                   pm->mode(curMode).spinDownTime;
+    inflightEnergy = pm->mode(target_mode).spinDownEnergy -
+                     pm->mode(curMode).spinDownEnergy;
+    PACACHE_ASSERT(inflightTime >= 0 && inflightEnergy >= 0,
+                   "demotion must deepen the mode");
 
-    queue.schedule(now + dt, [this, target_mode, dt, de](Time t) {
-        stats.spinDownTime += dt;
-        stats.spinDownEnergy += de;
-        ++stats.spinDowns;
+    queue.schedule(now + inflightTime, [this, target_mode](Time t) {
         onSpinDownDone(t, target_mode);
     });
 }
@@ -199,6 +195,9 @@ Disk::onDemotionTimer(Time now, std::size_t target_mode)
 void
 Disk::onSpinDownDone(Time now, std::size_t target_mode)
 {
+    stats.spinDownTime += inflightTime;
+    stats.spinDownEnergy += inflightEnergy;
+    ++stats.spinDowns;
     curMode = target_mode;
     if (wantSpinUp || !pending.empty()) {
         curState = State::Parked; // instantaneously parked at target
@@ -235,20 +234,19 @@ Disk::beginSpinUp(Time now)
     PACACHE_ASSERT(!pending.empty(), "spin-up with no pending cause");
     const WakeCause cause = pending.front().cause;
 
-    const Time dt = pm->mode(curMode).spinUpTime;
-    const Energy de = pm->mode(curMode).spinUpEnergy;
-    queue.schedule(now + dt, [this, dt, de, cause](Time t) {
-        stats.spinUpTime += dt;
-        stats.spinUpEnergy += de;
-        ++stats.spinUps;
-        stats.attributeSpinUp(cause, de);
-        onSpinUpDone(t);
-    });
+    inflightTime = pm->mode(curMode).spinUpTime;
+    inflightEnergy = pm->mode(curMode).spinUpEnergy;
+    queue.schedule(now + inflightTime,
+                   [this, cause](Time t) { onSpinUpDone(t, cause); });
 }
 
 void
-Disk::onSpinUpDone(Time now)
+Disk::onSpinUpDone(Time now, WakeCause cause)
 {
+    stats.spinUpTime += inflightTime;
+    stats.spinUpEnergy += inflightEnergy;
+    ++stats.spinUps;
+    stats.attributeSpinUp(cause, inflightEnergy);
     curMode = 0;
     curState = State::Parked;
     parkStart = now;

@@ -40,21 +40,33 @@ namespace obs
 class SimObserver;
 }
 
-/** One I/O request as seen by a disk. */
+/**
+ * One I/O request as seen by a disk. Plain data: what its submitter
+ * needs back at completion rides along in the fields below and is
+ * read by the disk's one completion hook (Disk::setOnComplete), so
+ * queueing a request never allocates.
+ */
 struct DiskRequest
 {
     Time arrival = 0;       //!< absolute submission time
     BlockNum block = 0;     //!< starting logical block
     uint32_t numBlocks = 1; //!< request length in blocks
     bool write = false;
+    /** WTDU: the write counts toward its disk's retire barrier. */
+    bool track = false;
     /**
      * Why this request exists, for spin-up attribution: if the disk
      * must spin up to service it, the transition's energy is charged
      * to this cause in the energy-attribution ledger.
      */
     WakeCause cause = WakeCause::DemandColdMiss;
-    /** Optional completion callback (completion time, request). */
-    std::function<void(Time, const DiskRequest &)> onComplete;
+    /**
+     * Response-time origin of the client waiting on this request;
+     * negative when no client waits (write-backs, flushes).
+     */
+    Time ackFrom = -1;
+    /** Fault-injector id of a data write (0 = none). */
+    uint64_t faultId = 0;
 };
 
 /** Behavioural options for a disk. */
@@ -175,6 +187,15 @@ class Disk
         onActivated = std::move(cb);
     }
 
+    /**
+     * Register the callback fired as each request completes
+     * (completion time, request); it may submit more work.
+     */
+    void setOnComplete(std::function<void(Time, const DiskRequest &)> cb)
+    {
+        onComplete = std::move(cb);
+    }
+
     const PowerModel &powerModel() const { return *pm; }
 
   private:
@@ -185,6 +206,7 @@ class Disk
      *  Parked). */
     void startService(Time now);
 
+    /** Charge the in-flight service and complete the queue head. */
     void onServiceDone(Time now);
 
     /** Queue drained at full speed: enter Parked@0 and arm the DPM. */
@@ -196,7 +218,7 @@ class Disk
     void onDemotionTimer(Time now, std::size_t target_mode);
     void onSpinDownDone(Time now, std::size_t target_mode);
     void beginSpinUp(Time now);
-    void onSpinUpDone(Time now);
+    void onSpinUpDone(Time now, WakeCause cause);
 
     /** True when requests can be serviced in the current mode. */
     bool canServiceInMode(std::size_t mode) const;
@@ -220,6 +242,14 @@ class Disk
     Time idleStart = 0;     //!< when the current idle period began
     bool idleOpen = false;  //!< an idle gap is in progress
     bool wantSpinUp = false; //!< request arrived during spin-down
+    /**
+     * Duration and energy of the service or power transition in
+     * flight (at most one at a time), charged when it completes. Kept
+     * here rather than in the completion event, whose callback then
+     * fits std::function's inline buffer and never allocates.
+     */
+    Time inflightTime = 0;
+    Energy inflightEnergy = 0;
 
     std::deque<DiskRequest> pending;
     EventQueue::Handle demotionTimer;
@@ -236,6 +266,7 @@ class Disk
     Time lastArrival = 0;
 
     std::function<void(Time)> onActivated;
+    std::function<void(Time, const DiskRequest &)> onComplete;
 
     obs::SimObserver *obs; //!< null = no instrumentation
 

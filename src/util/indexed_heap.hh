@@ -13,13 +13,20 @@
  *    in their block index and get O(log n) update-key without the
  *    erase+insert round trip (and double rebalance) a std::set
  *    forces;
- *  - 4-ary layout: the sift loops touch one cache line per level and
- *    the tree is half as deep as a binary heap, which is where a heap
- *    beats a red-black tree on wide fan-out workloads;
- *  - storage is two flat vectors (slots + heap order), zero per-node
- *    allocation; erased slots are threaded onto a free list through
- *    their position field, so steady-state churn never allocates
- *    (the event-queue slab pattern).
+ *  - entries are stored inline in heap order as {key, handle} pairs
+ *    (the EventQueue::Entry layout), so a sift comparison reads keys
+ *    straight out of the heap array: a node's four children sit
+ *    side by side (128 bytes for OPG's 32-byte entries, so two or
+ *    three cache lines, read in sequence) and the only scattered
+ *    access per level is the write of the moved entry's position
+ *    back to its handle;
+ *  - 4-ary layout: the tree is half as deep as a binary heap, which
+ *    is where a heap beats a red-black tree on wide fan-out
+ *    workloads;
+ *  - storage is two flat vectors (heap entries + per-handle position),
+ *    zero per-node allocation; erased handles are threaded onto a
+ *    free list through their position field, so steady-state churn
+ *    never allocates (the event-queue slab pattern).
  *
  * The comparator orders the *minimum* to the top. Keys need not be
  * unique for correctness, but deterministic victim selection requires
@@ -50,22 +57,22 @@ class IndexedHeap
 
     explicit IndexedHeap(Compare cmp = Compare{}) : less(std::move(cmp)) {}
 
-    std::size_t size() const { return order.size(); }
-    bool empty() const { return order.empty(); }
+    std::size_t size() const { return heap.size(); }
+    bool empty() const { return heap.empty(); }
 
     void
     clear()
     {
-        order.clear();
-        slots.clear();
+        heap.clear();
+        posOf.clear();
         freeHead = kNone;
     }
 
     void
     reserve(std::size_t n)
     {
-        order.reserve(n);
-        slots.reserve(n);
+        heap.reserve(n);
+        posOf.reserve(n);
     }
 
     /** Insert a key; the returned handle is stable until erase/pop. */
@@ -75,15 +82,14 @@ class IndexedHeap
         Handle h;
         if (freeHead != kNone) {
             h = freeHead;
-            freeHead = slots[h].pos;
-            slots[h].key = std::move(key);
+            freeHead = posOf[h];
         } else {
-            h = static_cast<Handle>(slots.size());
-            slots.push_back(Slot{std::move(key), 0});
+            h = static_cast<Handle>(posOf.size());
+            posOf.push_back(0);
         }
-        slots[h].pos = static_cast<std::uint32_t>(order.size());
-        order.push_back(h);
-        siftUp(slots[h].pos);
+        const auto pos = static_cast<std::uint32_t>(heap.size());
+        heap.push_back(Entry{std::move(key), h});
+        siftUp(pos);
         return h;
     }
 
@@ -91,43 +97,43 @@ class IndexedHeap
     const Key &
     top() const
     {
-        PACACHE_ASSERT(!order.empty(), "top() on empty IndexedHeap");
-        return slots[order[0]].key;
+        PACACHE_ASSERT(!heap.empty(), "top() on empty IndexedHeap");
+        return heap[0].key;
     }
 
     /** Handle of the minimum element (heap must be non-empty). */
     Handle
     topHandle() const
     {
-        PACACHE_ASSERT(!order.empty(), "topHandle() on empty IndexedHeap");
-        return order[0];
+        PACACHE_ASSERT(!heap.empty(), "topHandle() on empty IndexedHeap");
+        return heap[0].handle;
     }
 
     /** Key currently stored under a live handle. */
-    const Key &key(Handle h) const { return slots[h].key; }
+    const Key &key(Handle h) const { return heap[posOf[h]].key; }
 
     /** Remove the minimum element. */
     void
     pop()
     {
-        PACACHE_ASSERT(!order.empty(), "pop() on empty IndexedHeap");
-        erase(order[0]);
+        PACACHE_ASSERT(!heap.empty(), "pop() on empty IndexedHeap");
+        erase(heap[0].handle);
     }
 
     /** Remove the element behind a live handle. */
     void
     erase(Handle h)
     {
-        const std::uint32_t pos = slots[h].pos;
-        const Handle last = order.back();
-        order.pop_back();
-        if (pos < order.size()) {
-            order[pos] = last;
-            slots[last].pos = pos;
+        const std::uint32_t pos = posOf[h];
+        if (pos + 1 < heap.size()) {
+            heap[pos] = std::move(heap.back());
+            heap.pop_back();
             if (!siftUp(pos))
                 siftDown(pos);
+        } else {
+            heap.pop_back();
         }
-        slots[h].pos = freeHead; // thread onto the free list
+        posOf[h] = freeHead; // thread onto the free list
         freeHead = h;
     }
 
@@ -135,8 +141,8 @@ class IndexedHeap
     void
     update(Handle h, Key key)
     {
-        slots[h].key = std::move(key);
-        const std::uint32_t pos = slots[h].pos;
+        const std::uint32_t pos = posOf[h];
+        heap[pos].key = std::move(key);
         if (!siftUp(pos))
             siftDown(pos);
     }
@@ -148,14 +154,15 @@ class IndexedHeap
     void
     validate() const
     {
-        for (std::uint32_t i = 0; i < order.size(); ++i) {
-            PACACHE_ASSERT(slots[order[i]].pos == i,
+        for (std::uint32_t i = 0; i < heap.size(); ++i) {
+            PACACHE_ASSERT(heap[i].handle < posOf.size() &&
+                               posOf[heap[i].handle] == i,
                            "IndexedHeap position back-pointer drift");
             if (i > 0) {
                 const std::uint32_t parent = (i - 1) / kArity;
-                PACACHE_ASSERT(
-                    !less(slots[order[i]].key, slots[order[parent]].key),
-                    "IndexedHeap property violated at index ", i);
+                PACACHE_ASSERT(!less(heap[i].key, heap[parent].key),
+                               "IndexedHeap property violated at index ",
+                               i);
             }
         }
     }
@@ -164,36 +171,40 @@ class IndexedHeap
     static constexpr std::uint32_t kArity = 4;
     static constexpr Handle kNone = static_cast<Handle>(-1);
 
-    struct Slot
+    struct Entry
     {
         Key key;
-        std::uint32_t pos; //!< index into order; next-free link when dead
+        Handle handle;
     };
 
-    /** @return true if the element moved (so siftDown can be skipped). */
+    /**
+     * Move heap[pos] up to its place, recording every moved entry's
+     * new position. @return true if it moved (siftDown can be
+     * skipped).
+     */
     bool
     siftUp(std::uint32_t pos)
     {
-        const Handle h = order[pos];
         const std::uint32_t start = pos;
+        Entry e = std::move(heap[pos]);
         while (pos > 0) {
             const std::uint32_t parent = (pos - 1) / kArity;
-            if (!less(slots[h].key, slots[order[parent]].key))
+            if (!less(e.key, heap[parent].key))
                 break;
-            order[pos] = order[parent];
-            slots[order[pos]].pos = pos;
+            heap[pos] = std::move(heap[parent]);
+            posOf[heap[pos].handle] = pos;
             pos = parent;
         }
-        order[pos] = h;
-        slots[h].pos = pos;
+        posOf[e.handle] = pos;
+        heap[pos] = std::move(e);
         return pos != start;
     }
 
     void
     siftDown(std::uint32_t pos)
     {
-        const Handle h = order[pos];
-        const std::uint32_t n = static_cast<std::uint32_t>(order.size());
+        const std::uint32_t n = static_cast<std::uint32_t>(heap.size());
+        Entry e = std::move(heap[pos]);
         while (true) {
             const std::uint32_t first = pos * kArity + 1;
             if (first >= n)
@@ -202,21 +213,22 @@ class IndexedHeap
             const std::uint32_t end =
                 first + kArity < n ? first + kArity : n;
             for (std::uint32_t c = first + 1; c < end; ++c) {
-                if (less(slots[order[c]].key, slots[order[best]].key))
+                if (less(heap[c].key, heap[best].key))
                     best = c;
             }
-            if (!less(slots[order[best]].key, slots[h].key))
+            if (!less(heap[best].key, e.key))
                 break;
-            order[pos] = order[best];
-            slots[order[pos]].pos = pos;
+            heap[pos] = std::move(heap[best]);
+            posOf[heap[pos].handle] = pos;
             pos = best;
         }
-        order[pos] = h;
-        slots[h].pos = pos;
+        posOf[e.handle] = pos;
+        heap[pos] = std::move(e);
     }
 
-    std::vector<Slot> slots;
-    std::vector<Handle> order;
+    std::vector<Entry> heap; //!< heap order, root at 0
+    /** Per handle: index into heap; next-free link when dead. */
+    std::vector<std::uint32_t> posOf;
     Handle freeHead = kNone;
     [[no_unique_address]] Compare less{};
 };

@@ -151,6 +151,13 @@ class SpillPool
                   std::size_t bytes) const;
 
     std::size_t budgetBytes() const { return budget; }
+    /**
+     * True for the SIZE_MAX budget: no page is ever spilled, so the
+     * recency bits and pins that only steer eviction do nothing, and
+     * clients may skip touch/pin/unpin (add/remove still keep the
+     * byte and page accounting).
+     */
+    bool unbounded() const { return budget == SIZE_MAX; }
     std::size_t residentBytes() const { return resident; }
     std::size_t residentPages() const { return liveNodes; }
     /** Total bytes ever placed under management (monotone). */

@@ -30,7 +30,10 @@
  * least-recently-touched pages are serialized into fixed-size slots
  * of the pool's unlinked spill file and dropped from RAM, then
  * faulted back (one pread) on the next touch. A pool with an
- * unbounded budget never spills and never creates the file.
+ * unbounded budget never spills and never creates the file, and its
+ * pages skip the per-operation touch/pin/unpin that only steer
+ * eviction; they are still registered, so the pool's byte and page
+ * counts stay exact.
  *
  * Exact by construction: spilling changes *where* a page's bytes
  * live, never what they are, so every query answers exactly what an
@@ -126,6 +129,7 @@ class SpillableOrderedSet : public SpillClient
         PACACHE_ASSERT(pool == nullptr || count == 0,
                        "re-attach of a populated SpillableOrderedSet");
         pool = &p;
+        unbounded = p.unbounded();
     }
 
     std::size_t size() const { return count; }
@@ -541,6 +545,11 @@ class SpillableOrderedSet : public SpillClient
     static std::size_t
     lowerBound(const Slab &s, const Key &k)
     {
+        // Erase-at-minimum (OPG retiring a deterministic miss, or
+        // taking the next-use entry of the access in hand) finds its
+        // key at the front of the first page: no search.
+        if (!(s.keys[s.start] < k))
+            return s.start;
         const Key *base = s.keys.data();
         return static_cast<std::size_t>(
             search(base + s.start, s.keys.size() - s.start,
@@ -562,6 +571,8 @@ class SpillableOrderedSet : public SpillClient
     std::size_t
     pageFor(const Key &k) const
     {
+        if (!maxes.empty() && !(maxes.front() < k))
+            return 0; // erase-at-minimum, as in lowerBound()
         return static_cast<std::size_t>(
             search(maxes.data(), maxes.size(),
                    [&](const Key &x) { return x < k; }) -
@@ -619,11 +630,15 @@ class SpillableOrderedSet : public SpillClient
         const std::uint32_t id = order[oi];
         Meta &m = metas[id];
         if (m.slab != kNone32) {
-            pool->touch(m.token);
-            pool->pin(m.token);
+            // An unbounded pool never evicts: the recency bit and the
+            // pin only steer eviction, so its pages skip both.
+            if (!unbounded) {
+                pool->touch(m.token);
+                pool->pin(m.token);
+            }
             return id;
         }
-        PACACHE_ASSERT(m.slot != SpillPool::kNoSlot,
+        PACACHE_ASSERT(!unbounded && m.slot != SpillPool::kNoSlot,
                        "non-resident page without a spill slot");
         const std::uint32_t sb = allocSlab();
         m.slab = sb;
@@ -639,7 +654,8 @@ class SpillableOrderedSet : public SpillClient
     void
     release(std::uint32_t id)
     {
-        pool->unpin(metas[id].token);
+        if (!unbounded)
+            pool->unpin(metas[id].token);
     }
 
     /** Refresh minKey/maxKey/maxes after a page mutation. */
@@ -895,6 +911,7 @@ class SpillableOrderedSet : public SpillClient
     }
 
     SpillPool *pool = nullptr;
+    bool unbounded = false; //!< pool->unbounded(), read once at attach
     std::vector<Meta> metas;
     std::vector<std::uint32_t> freeMetas;
     std::vector<std::uint32_t> order; //!< page ids, ascending ranges

@@ -149,14 +149,14 @@ TEST(Disk, QueueDrainsFcfs)
     DiskHarness h;
     auto d = h.make(h.alwaysOn);
     std::vector<BlockNum> completed;
+    d->setOnComplete([&completed](Time, const DiskRequest &req) {
+        completed.push_back(req.block);
+    });
     for (int i = 0; i < 4; ++i) {
         h.eq.schedule(1.0, [&, i](Time t) {
             DiskRequest r;
             r.arrival = t;
             r.block = 100 + i;
-            r.onComplete = [&completed](Time, const DiskRequest &req) {
-                completed.push_back(req.block);
-            };
             d->submit(std::move(r));
         });
     }

@@ -5,9 +5,10 @@
  * gtest's TempDir() is just "/tmp/" on POSIX — shared by every test
  * process — so fixed file names under it collide as soon as ctest
  * runs test binaries in parallel (or the same suite twice). The
- * helpers here scope every path by process id, and the fixture
- * additionally by the running test's full name, so concurrent runs
- * and repeated tests never see each other's files.
+ * helpers here put every path in a per-process directory that is
+ * removed at exit, and the fixture additionally scopes by the running
+ * test's full name, so concurrent runs and repeated tests never see
+ * each other's files and none outlive the process.
  */
 
 #ifndef PACACHE_TESTS_SUPPORT_TEMP_DIR_HH
@@ -22,12 +23,48 @@
 namespace pacache::test
 {
 
-/** "/tmp/pacache_<pid>_<name>": unique across processes. */
+/**
+ * This process's temp directory, "/tmp/pacache_<pid>": created
+ * empty on first use and removed, with everything left inside it,
+ * when the process exits. Every fixture path lives under it, so a
+ * test run leaves nothing behind in the shared temp directory even
+ * when a test never deletes its own files.
+ */
+inline const std::string &
+processTempDir()
+{
+    struct Dir
+    {
+        std::string path;
+        ::pid_t owner;
+
+        Dir()
+            : path(::testing::TempDir() + "pacache_" +
+                   std::to_string(::getpid())),
+              owner(::getpid())
+        {
+            std::filesystem::remove_all(path); // a recycled pid's
+            std::filesystem::create_directories(path);
+        }
+
+        ~Dir()
+        {
+            // A forked child exiting must not delete its parent's
+            // files; best-effort, never fails a run.
+            std::error_code ec;
+            if (::getpid() == owner)
+                std::filesystem::remove_all(path, ec);
+        }
+    };
+    static const Dir dir;
+    return dir.path;
+}
+
+/** "<processTempDir()>/<name>": unique across processes. */
 inline std::string
 processScopedPath(const std::string &name)
 {
-    return ::testing::TempDir() + "pacache_" +
-           std::to_string(::getpid()) + "_" + name;
+    return processTempDir() + "/" + name;
 }
 
 /**

@@ -1,9 +1,10 @@
 /**
  * @file
  * Temp-file helpers for the tracefmt tests: every fixture file lands
- * in a process-scoped path under gtest's temp directory, so parallel
- * test processes (ctest -j runs several binaries at once) never
- * collide on a name.
+ * in the process's temp directory (support/temp_dir.hh), so
+ * parallel test processes (ctest -j runs several binaries at once)
+ * never collide on a name, and the directory goes when the process
+ * exits.
  */
 
 #ifndef PACACHE_TESTS_TRACEFMT_TEMP_FILE_HH

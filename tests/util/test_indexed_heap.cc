@@ -4,12 +4,15 @@
  * a std::set model: every operation mix a caller can issue (push,
  * update up/down, erase by handle, pop) must keep the heap's top and
  * size identical to the model's minimum, with validate() passing
- * throughout.
+ * throughout, both on a small heap and at OPG's scale (32768 live
+ * 24-byte keys under update-heavy churn).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <compare>
+#include <cstdint>
 #include <random>
 #include <set>
 #include <unordered_map>
@@ -121,56 +124,123 @@ TEST(IndexedHeap, ClearThenReuse)
     heap.validate();
 }
 
-TEST(IndexedHeap, RandomizedDifferentialVsSet)
+/**
+ * OPG-shaped key: 24 bytes (a penalty, a next-use index and an id),
+ * so heap entries are 32 bytes and a node's children span more than
+ * one cache line.
+ */
+struct WideKey
 {
-    // Model: a std::set of (key, uid) pairs mirroring every live
-    // element; the heap top must always equal the model minimum.
-    using Elem = std::pair<int, std::uint32_t>;
+    double penalty;
+    std::uint64_t next;
+    std::uint32_t uid;
+
+    friend bool operator==(const WideKey &, const WideKey &) = default;
+    friend auto operator<=>(const WideKey &, const WideKey &) = default;
+};
+
+std::uint32_t
+uidOf(const std::pair<int, std::uint32_t> &e)
+{
+    return e.second;
+}
+
+std::uint32_t
+uidOf(const WideKey &e)
+{
+    return e.uid;
+}
+
+/**
+ * Drive an IndexedHeap and a std::set model of (key, uid) pairs
+ * through one random operation stream and check them against each
+ * other: the key behind every handle touched, and after each step
+ * the top, the size and validate(). The stream first grows the heap
+ * to @p live_target entries, then runs @p churn_steps of the given
+ * mix (percentages of push / update / erase; pops take the rest).
+ */
+template <typename Elem, typename MakeKey>
+void
+differentialVsSet(std::size_t live_target, int churn_steps,
+                  int push_pct, int update_pct, int erase_pct,
+                  std::uint64_t seed, MakeKey make_key)
+{
+    using Handle = typename IndexedHeap<Elem>::Handle;
+    struct Live
+    {
+        std::uint32_t uid;
+        Handle handle;
+    };
     IndexedHeap<Elem> heap;
     std::set<Elem> model;
-    std::unordered_map<std::uint32_t, IndexedHeap<Elem>::Handle> live;
+    std::vector<Live> live; // for O(1) random picks
+    std::unordered_map<std::uint32_t, std::size_t> slotOf; // uid -> live
     std::uint32_t nextUid = 0;
+    std::mt19937_64 rng(seed);
 
-    std::mt19937_64 rng(1234);
-    auto randomLive = [&]() {
-        auto it = live.begin();
-        std::advance(it, rng() % live.size());
-        return it;
+    auto forget = [&](std::uint32_t uid) {
+        const std::size_t i = slotOf[uid];
+        live[i] = live.back();
+        slotOf[live[i].uid] = i;
+        live.pop_back();
+        slotOf.erase(uid);
     };
-
-    for (int step = 0; step < 20000; ++step) {
-        const int op = static_cast<int>(rng() % 100);
-        if (live.empty() || op < 40) {
-            const Elem e{static_cast<int>(rng() % 500), nextUid++};
-            live[e.second] = heap.push(e);
-            model.insert(e);
-        } else if (op < 60) {
-            auto it = randomLive();
-            const Elem old = heap.key(it->second);
-            const Elem fresh{static_cast<int>(rng() % 500), it->first};
-            heap.update(it->second, fresh);
-            model.erase(old);
-            model.insert(fresh);
-        } else if (op < 80) {
-            auto it = randomLive();
-            model.erase(heap.key(it->second));
-            heap.erase(it->second);
-            live.erase(it);
-        } else {
-            const Elem top = heap.top();
-            ASSERT_EQ(top, *model.begin());
-            live.erase(top.second);
-            model.erase(model.begin());
-            heap.pop();
-        }
+    auto push = [&]() {
+        const Elem e = make_key(rng, nextUid++);
+        const Handle h = heap.push(e);
+        slotOf[uidOf(e)] = live.size();
+        live.push_back(Live{uidOf(e), h});
+        model.insert(e);
+        ASSERT_EQ(heap.key(h), e);
+    };
+    auto check = [&]() {
         ASSERT_EQ(heap.size(), model.size());
         if (!heap.empty()) {
             ASSERT_EQ(heap.top(), *model.begin());
+            ASSERT_EQ(heap.key(heap.topHandle()), *model.begin());
         }
-        if (step % 500 == 0)
-            heap.validate();
+        heap.validate();
+    };
+
+    const int total = static_cast<int>(live_target) + churn_steps;
+    for (int step = 0; step < total; ++step) {
+        const int op = static_cast<int>(rng() % 100);
+        if (step < static_cast<int>(live_target) || live.empty() ||
+            op < push_pct) {
+            push();
+        } else if (op < push_pct + update_pct) {
+            const Live pick = live[rng() % live.size()];
+            const Elem old = heap.key(pick.handle);
+            const Elem fresh = make_key(rng, pick.uid);
+            heap.update(pick.handle, fresh);
+            model.erase(old);
+            model.insert(fresh);
+            ASSERT_EQ(heap.key(pick.handle), fresh);
+        } else if (op < push_pct + update_pct + erase_pct) {
+            const Live pick = live[rng() % live.size()];
+            model.erase(heap.key(pick.handle));
+            heap.erase(pick.handle);
+            forget(pick.uid);
+        } else {
+            const Elem top = heap.top();
+            ASSERT_EQ(top, *model.begin());
+            forget(uidOf(top));
+            model.erase(model.begin());
+            heap.pop();
+        }
+        // validate() is O(n): at full size, check it on every churn
+        // step but only every 512th push of the initial growth.
+        if (step >= static_cast<int>(live_target) || step % 512 == 0)
+            check();
+        if (::testing::Test::HasFatalFailure())
+            return;
     }
-    heap.validate();
+    check();
+    // Every live handle still resolves to its model key.
+    std::set<Elem> viaHandles;
+    for (const Live &l : live)
+        viaHandles.insert(heap.key(l.handle));
+    ASSERT_EQ(viaHandles, model);
 
     // Drain: full pop order must match the model's sorted order.
     while (!model.empty()) {
@@ -179,6 +249,26 @@ TEST(IndexedHeap, RandomizedDifferentialVsSet)
         heap.pop();
     }
     EXPECT_TRUE(heap.empty());
+}
+
+TEST(IndexedHeap, RandomizedDifferentialVsSet)
+{
+    // A small heap under the full operation mix.
+    differentialVsSet<std::pair<int, std::uint32_t>>(
+        0, 20000, 40, 20, 20, 1234,
+        [](std::mt19937_64 &rng, std::uint32_t uid) {
+            return std::pair<int, std::uint32_t>{
+                static_cast<int>(rng() % 500), uid};
+        });
+    // OPG's scale: 32768 live entries with wide keys under
+    // update-heavy churn (repricing bursts), few duplicates of the
+    // leading key so ties fall through to the later fields.
+    differentialVsSet<WideKey>(
+        32768, 3000, 5, 80, 5, 99,
+        [](std::mt19937_64 &rng, std::uint32_t uid) {
+            return WideKey{static_cast<double>(rng() % 64) * 0.25,
+                           rng() % 100000, uid};
+        });
 }
 
 } // namespace

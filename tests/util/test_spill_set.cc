@@ -8,8 +8,9 @@
  * differential's one-page input is in the second suite).
  * SpillableOrderedSet covers a budgeted pool's basic set and map
  * operations and the spilling itself: tight budgets with constant
- * page churn, OPG's retirement pattern, and one pool shared by many
- * sets.
+ * page churn, OPG's retirement pattern, one pool shared by many sets,
+ * and one operation stream that must answer alike, with exact pool
+ * accounting, at an unbounded, a 1-byte and a 64 KiB budget.
  */
 
 #include <gtest/gtest.h>
@@ -533,6 +534,137 @@ TEST(SpillableOrderedSet, SharedPoolAcrossManySets)
     EXPECT_EQ(total, 2000u);
     EXPECT_GT(pool.evictions(), 0u);
     pool.checkInvariants();
+}
+
+/**
+ * Bytes one resident page of a set and of a map charge to their
+ * pool, measured on an unbounded pool (where nothing spills).
+ */
+std::pair<std::size_t, std::size_t>
+pageCharges()
+{
+    SpillPool pool(SIZE_MAX);
+    Set set;
+    SpillableOrderedSet<std::size_t, std::uint64_t> map;
+    set.attach(pool);
+    map.attach(pool);
+    set.insert(1);
+    const std::size_t setPage = pool.residentBytes();
+    map.insert(1, 1);
+    return {setPage, pool.residentBytes() - setPage};
+}
+
+/**
+ * Replay one seeded operation stream against a set and a map sharing
+ * a pool of @p budget bytes (OPG's layout: per-disk sets and next-use
+ * maps on one pool), checking the pool's page and byte counts after
+ * every operation. @return every answer the containers gave, in order.
+ */
+std::vector<std::uint64_t>
+replayStream(std::size_t budget)
+{
+    const auto [setPage, mapPage] = pageCharges();
+    SpillPool pool(budget);
+    Set set;
+    SpillableOrderedSet<std::size_t, std::uint64_t> map;
+    set.attach(pool);
+    map.attach(pool);
+    std::vector<std::uint64_t> answers;
+    auto note = [&](const Set::Neighbors &nb) {
+        answers.insert(answers.end(),
+                       {nb.present, nb.hasPred, nb.hasPred ? nb.pred : 0,
+                        nb.hasSucc, nb.hasSucc ? nb.succ : 0});
+    };
+
+    std::mt19937_64 rng(2024);
+    const std::size_t universe = 1 << 13;
+    for (int step = 0; step < 40000; ++step) {
+        const std::size_t k = rng() % universe;
+        Set::Neighbors nb;
+        switch (rng() % 9) {
+          case 0:
+          case 1:
+            answers.push_back(set.insertWithNeighbors(k, nb));
+            note(nb);
+            break;
+          case 2:
+            answers.push_back(set.eraseWithNeighbors(k, nb));
+            note(nb);
+            break;
+          case 3:
+            note(set.neighbors(k));
+            answers.push_back(set.contains(k));
+            break;
+          case 4:
+          case 5:
+            answers.push_back(map.insert(k, rng()));
+            break;
+          case 6: {
+            std::uint64_t v = 0;
+            answers.push_back(map.take(k, v));
+            answers.push_back(v);
+            break;
+          }
+          case 7: {
+            const std::uint64_t *v = map.find(k);
+            answers.push_back(v ? *v : ~std::uint64_t{0});
+            break;
+          }
+          default:
+            set.forEachInRange(k, k + 64, [&](std::size_t x) {
+                answers.push_back(x);
+            });
+            map.forEachInRange(k, k + 64,
+                               [&](std::size_t x, std::uint64_t v) {
+                                   answers.push_back(x ^ v);
+                               });
+            break;
+        }
+        // The pool's counts are exactly what the containers hold.
+        const std::size_t setRes = set.residentPages();
+        const std::size_t mapRes = map.residentPages();
+        EXPECT_EQ(pool.residentPages(), setRes + mapRes);
+        EXPECT_EQ(pool.residentBytes(), setRes * setPage + mapRes * mapPage);
+        if (budget == SIZE_MAX) {
+            EXPECT_EQ(setRes, set.pages());
+            EXPECT_EQ(mapRes, map.pages());
+        }
+        if (step % 4096 == 0)
+            pool.checkInvariants();
+        if (::testing::Test::HasFailure())
+            return answers;
+    }
+    set.checkInvariants();
+    map.checkInvariants();
+    pool.checkInvariants();
+    answers.push_back(set.size());
+    answers.push_back(map.size());
+    if (budget == SIZE_MAX) {
+        EXPECT_EQ(pool.evictions(), 0u);
+        EXPECT_EQ(pool.spillFileBytes(), 0u);
+        EXPECT_EQ(set.faults() + map.faults(), 0u);
+    } else {
+        EXPECT_GT(pool.evictions(), 0u);
+        EXPECT_GT(set.faults() + map.faults(), 0u);
+    }
+    set.clear();
+    map.clear();
+    EXPECT_EQ(pool.residentPages(), 0u);
+    EXPECT_EQ(pool.residentBytes(), 0u);
+    return answers;
+}
+
+TEST(SpillableOrderedSet, OneStreamSameAnswersAtEveryBudget)
+{
+    // The unbounded pool skips the per-operation recency and pin
+    // bookkeeping; a 1-byte pool spills all but the page in use and
+    // a 64 KiB pool keeps a few dozen. All three must answer alike.
+    const std::vector<std::uint64_t> unbounded = replayStream(SIZE_MAX);
+    ASSERT_GT(unbounded.size(), 100000u);
+    for (const std::size_t budget : {std::size_t{1}, std::size_t{64} << 10}) {
+        SCOPED_TRACE(budget);
+        EXPECT_TRUE(replayStream(budget) == unbounded);
+    }
 }
 
 TEST(SpillableOrderedSet, StructKeyPayloadRoundTripsThroughSpill)
